@@ -14,11 +14,9 @@
 //!   skipped, so a trajectory recorded on any machine gates any other;
 //! * **fleet trajectories** (`vapres fleet --bench` artifacts) — per-RSB
 //!   rows matched by index: outcomes and health verdicts exactly, the
-//!   deterministic plane (sample counts, work units, estimated costs,
-//!   sim time) exactly, latency fields within tolerance. The `"host"`
-//!   and `"partition"` lines are context, not measurements, and are
-//!   skipped — a fleet recorded under any `--jobs` value gates any
-//!   other;
+//!   deterministic plane (sample counts, work units, sim time) exactly,
+//!   latency fields within tolerance. The machine-dependent `"host"`
+//!   line is skipped;
 //! * **cost models** (`vapres profile --cost-model` / `vapres sim
 //!   --cost-model` / `vapres sweep --cost-model` exports) — rows matched
 //!   by component. The deterministic work-unit plane is compared
@@ -427,14 +425,11 @@ const FLEET_EXACT_FIELDS: &[&str] = &[
     "missed_slots",
     "sim_time_ps",
     "work_units",
-    "est_cost",
 ];
 
 /// Parses a fleet trajectory: the `"rsbs"` rows keyed by index and the
-/// merged `"work"` rows keyed by component. The `"host"` and
-/// `"partition"`/`"partition_shard"` lines are machine/jobs context and
-/// are never parsed — a fleet recorded under any `--jobs` value gates
-/// any other.
+/// merged `"work"` rows keyed by component. The `"host"` line is
+/// machine context and is never parsed.
 fn parse_fleet(text: &str) -> Result<(Vec<FleetRow>, BTreeMap<String, u64>), String> {
     let mut rows = Vec::new();
     let mut work = BTreeMap::new();
@@ -525,9 +520,8 @@ fn parse_fleet(text: &str) -> Result<(Vec<FleetRow>, BTreeMap<String, u64>), Str
 /// Compares two fleet trajectories: RSB rows matched by index —
 /// outcomes/verdicts exactly, the deterministic plane
 /// ([`FLEET_EXACT_FIELDS`], plus the merged work rows) exactly, latency
-/// fields within tolerance. The `"host"` and partition lines are
-/// skipped entirely, so artifacts recorded under different `--jobs`
-/// values (or machines) gate each other.
+/// fields within tolerance. The `"host"` line is skipped entirely, so
+/// artifacts recorded on different machines gate each other.
 fn diff_fleet(baseline: &str, candidate: &str, tol: f64) -> Result<Vec<String>, String> {
     let (b_rows, b_work) = parse_fleet(baseline)?;
     let (c_rows, c_work) = parse_fleet(candidate)?;
@@ -850,41 +844,21 @@ mod tests {
     }
 
     const FLEET: &str = "{\n  \"bench\": \"fleet\",\n  \"seed\": 227, \"rsb_count\": 2, \"swap_count\": 2,\n  \
-\"host\": {\"cpus\": 8, \"jobs\": 4, \"wall_ms\": 321},\n  \
-\"partition\": {\"mode\": \"round-robin\", \"shards\": 4},\n  \
-\"partition_shard\": {\"shard\": 0, \"rsbs\": [0], \"est_cost\": 11000, \"work_units\": 11500},\n  \
-\"partition_shard\": {\"shard\": 1, \"rsbs\": [1], \"est_cost\": 9000, \"work_units\": 9500},\n  \"rsbs\": [\n    \
-{\"index\":0,\"samples_in\":220,\"interval\":100,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":220,\"missed_slots\":0,\"p99_e2e_ps\":1000000,\"sim_time_ps\":3000000000,\"work_units\":11500,\"est_cost\":11000,\"healthy\":true},\n    \
-{\"index\":1,\"samples_in\":180,\"interval\":150,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":180,\"missed_slots\":0,\"p99_e2e_ps\":1250000,\"sim_time_ps\":3000000000,\"work_units\":9500,\"est_cost\":9000,\"healthy\":true}\n  ],\n  \"work\": [\n    \
+\"host\": {\"cpus\": 8, \"wall_ms\": 321},\n  \"rsbs\": [\n    \
+{\"index\":0,\"samples_in\":220,\"interval\":100,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":220,\"missed_slots\":0,\"p99_e2e_ps\":1000000,\"sim_time_ps\":3000000000,\"work_units\":11500,\"healthy\":true},\n    \
+{\"index\":1,\"samples_in\":180,\"interval\":150,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":180,\"missed_slots\":0,\"p99_e2e_ps\":1250000,\"sim_time_ps\":3000000000,\"work_units\":9500,\"healthy\":true}\n  ],\n  \"work\": [\n    \
 {\"component\": \"exec/fabric\", \"work_units\": 17000},\n    \
 {\"component\": \"icap/words\", \"work_units\": 4000}\n  ]\n}\n";
 
     #[test]
-    fn identical_fleets_pass_even_with_different_jobs_and_hosts() {
-        // Same deterministic planes, different machine AND different
-        // partition geometry — exactly what two runs under different
-        // --jobs values produce. Host and partition lines are context,
-        // not measurements.
+    fn identical_fleets_pass_on_different_hosts() {
+        // Same deterministic planes, different machine: the host line is
+        // context, not a measurement.
         let other = FLEET
-            .replace("\"wall_ms\": 321", "\"wall_ms\": 7")
-            .replace("\"jobs\": 4", "\"jobs\": 1")
-            .replace(
-                "\"partition\": {\"mode\": \"round-robin\", \"shards\": 4}",
-                "\"partition\": {\"mode\": \"round-robin\", \"shards\": 1}",
-            )
-            .replace(
-                "\"partition_shard\": {\"shard\": 1, \"rsbs\": [1], \"est_cost\": 9000, \"work_units\": 9500},\n",
-                "",
-            )
-            .replace(
-                "\"partition_shard\": {\"shard\": 0, \"rsbs\": [0], \"est_cost\": 11000, \"work_units\": 11500}",
-                "\"partition_shard\": {\"shard\": 0, \"rsbs\": [0, 1], \"est_cost\": 20000, \"work_units\": 21000}",
-            );
+            .replace("\"cpus\": 8", "\"cpus\": 2")
+            .replace("\"wall_ms\": 321", "\"wall_ms\": 7");
         let (result, out) = run_diff(FLEET, &other, &[]);
-        assert!(
-            result.is_ok(),
-            "host/partition must be skipped: {result:?}\n{out}"
-        );
+        assert!(result.is_ok(), "host must be skipped: {result:?}\n{out}");
         assert!(out.contains("no regressions"));
         assert!(
             out.contains("fleet trajectory"),
@@ -923,8 +897,8 @@ mod tests {
             "got {out}"
         );
         let candidate = FLEET.replace(
-            "\"est_cost\":9000,\"healthy\":true",
-            "\"est_cost\":9000,\"healthy\":false",
+            "\"work_units\":9500,\"healthy\":true",
+            "\"work_units\":9500,\"healthy\":false",
         );
         let (result, out) = run_diff(FLEET, &candidate, &[]);
         assert!(result.is_err());
@@ -945,7 +919,7 @@ mod tests {
     #[test]
     fn fleet_missing_rsb_is_structural() {
         let shorter = FLEET.replace(
-            ",\n    {\"index\":1,\"samples_in\":180,\"interval\":150,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":180,\"missed_slots\":0,\"p99_e2e_ps\":1250000,\"sim_time_ps\":3000000000,\"work_units\":9500,\"est_cost\":9000,\"healthy\":true}",
+            ",\n    {\"index\":1,\"samples_in\":180,\"interval\":150,\"swaps\":1,\"outcome\":\"ok\",\"drained\":true,\"samples_out\":180,\"missed_slots\":0,\"p99_e2e_ps\":1250000,\"sim_time_ps\":3000000000,\"work_units\":9500,\"healthy\":true}",
             "",
         );
         let (result, out) = run_diff(FLEET, &shorter, &[]);

@@ -87,8 +87,6 @@ pub enum AdaptError {
     Swap(SwapError),
     /// The policy requested a module with no registered bitstream source.
     NoBitstream(ModuleUid),
-    /// The controller lost track of its channels (external re-routing).
-    ChannelsLost,
 }
 
 impl std::fmt::Display for AdaptError {
@@ -97,7 +95,6 @@ impl std::fmt::Display for AdaptError {
             AdaptError::Api(e) => write!(f, "api: {e}"),
             AdaptError::Swap(e) => write!(f, "swap: {e}"),
             AdaptError::NoBitstream(uid) => write!(f, "no bitstream source for {uid}"),
-            AdaptError::ChannelsLost => write!(f, "controller channels no longer exist"),
         }
     }
 }
@@ -214,21 +211,11 @@ impl AdaptiveController {
         };
         let report = seamless_swap(sys, &spec)?;
 
-        // Roles alternate; rediscover the channels the swap established.
+        // Roles alternate; follow the channels the swap established.
         std::mem::swap(&mut self.active_node, &mut self.spare_node);
         self.current = want;
-        let mut up = None;
-        let mut down = None;
-        for ch in sys.fabric().active_channels() {
-            let info = sys.fabric().channel_info(ch).expect("listed channel");
-            if info.consumer.node == self.active_node {
-                up = Some(ch);
-            } else if info.producer.node == self.active_node {
-                down = Some(ch);
-            }
-        }
-        self.upstream = up.ok_or(AdaptError::ChannelsLost)?;
-        self.downstream = down.ok_or(AdaptError::ChannelsLost)?;
+        self.upstream = report.upstream;
+        self.downstream = report.downstream;
         self.swaps.push(report.clone());
         Ok(Some(report))
     }

@@ -1,641 +1,27 @@
-//! Sharded fleet-scale execution of many RSBs (paper Sec. III.B: "the
-//! data processing region contains one or more RSBs").
+//! Compatibility names for fleet checkpoints.
 //!
-//! [`crate::multirsb::MultiRsbSystem`] advances its RSBs strictly
-//! sequentially on one core. This module partitions the RSB set across
-//! `jobs` worker threads — each shard *owns* its [`VapresSystem`]s, which
-//! never cross threads (the PR 4 sweep discipline) — and advances shards
-//! concurrently inside conservative lookahead windows.
-//!
-//! # Why this is exact, not approximate
-//!
-//! Per-RSB systems are fully independent state machines: each has its own
-//! switch-box array, clocks, ICAP, CompactFlash and SDRAM models. The
-//! shared controlling region (one MicroBlaze, one ICAP) is modelled
-//! purely by *time semantics*: a software call against one RSB occupies
-//! the shared processor while every other RSB's data plane streams
-//! through the elapsed window. Cross-shard causality therefore exists
-//! only at `with_rsb` software events, and the coordinator runs a
-//! barrier-at-software-event protocol:
-//!
-//! 1. **Free-run window.** Between software events every shard advances
-//!    its systems with the existing executor machinery (`run_for`, which
-//!    internally skips to `next_wake_cycle()` boundaries) to the common
-//!    deadline — the conservative lookahead window. No shard can affect
-//!    another inside the window, so shards run concurrently.
-//! 2. **Align barrier.** A `with_rsb` first broadcasts the current time
-//!    so every shard brings each of its systems to the same instant —
-//!    the same (idempotent) alignment loop the sequential engine runs.
-//! 3. **Software event.** The owning shard executes the closure against
-//!    the target system, then brings its *other* local systems forward
-//!    to the target's new time, and reports that time.
-//! 4. **Release.** Every other shard is released to the reported time.
-//!
-//! Each [`VapresSystem`] therefore observes *exactly* the same sequence
-//! of `run_for`/closure calls as under the sequential engine, so every
-//! observable — words, telemetry, flight events, timeseries, checkpoint
-//! bytes — is byte-identical for any job count. The randomized lockstep
-//! suite (tests/fleet.rs) and the verify.sh fleet smoke enforce this.
-//!
-//! Partition assignment is load-balanced from measured cost hints (PR 8
-//! [`vapres_sim::profile::CostModel`] `ns_per_unit` × per-RSB work units)
-//! via deterministic LPT, with round-robin as the no-model fallback; see
-//! [`ShardPlan`].
+//! The fleet has one engine, [`MultiRsbSystem`]: the paper's data
+//! processing region (Sec. III.B) holds its RSBs behind a single
+//! MicroBlaze and a single ICAP, so every software event serializes the
+//! whole fleet. The names below are ignored; kept for the frozen
+//! benchmark harness.
 
 use crate::config::SystemConfig;
 use crate::module::ModuleLibrary;
-use crate::multirsb::{MultiRsbConfigError, MultiRsbSystem, FLEET_FORMAT_VERSION, FLEET_MAGIC};
-use crate::system::VapresSystem;
-use std::any::Any;
-use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use crate::multirsb::MultiRsbSystem;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use vapres_sim::persist::{PersistError, Reader, Writer};
-use vapres_sim::time::Ps;
+use vapres_sim::persist::PersistError;
 
-/// A module-library registration function that can be shipped to worker
-/// threads (factories themselves cannot cross threads, so every shard
-/// re-runs the registration for each of its systems).
-pub type SharedRegister = Arc<dyn Fn(&mut ModuleLibrary) + Send + Sync>;
+/// A shareable module-library registration function.
+pub type SharedRegister = Arc<dyn Fn(&mut ModuleLibrary)>;
 
-/// Deterministic assignment of RSB indices to shards.
-///
-/// Two constructors: [`round_robin`](Self::round_robin) when no cost
-/// information exists, and [`balanced`](Self::balanced) — longest
-/// processing time (LPT) greedy over per-RSB cost estimates, ties broken
-/// by lower RSB index then lower shard index, so the assignment is a
-/// pure function of its inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// `assignment[rsb]` = shard index.
-    assignment: Vec<usize>,
-    /// RSB indices per shard, ascending within each shard.
-    shards: Vec<Vec<usize>>,
-    /// Estimated cost per shard (sum of the input hints; RSB count for
-    /// round-robin).
-    shard_cost: Vec<u64>,
-    /// `"round-robin"` or `"cost-model"`.
-    mode: &'static str,
-}
-
-impl ShardPlan {
-    /// RSB `i` goes to shard `i % jobs`. `jobs` is clamped to
-    /// `1..=rsbs.max(1)` so no shard is empty.
-    pub fn round_robin(rsbs: usize, jobs: usize) -> ShardPlan {
-        let jobs = jobs.clamp(1, rsbs.max(1));
-        let assignment: Vec<usize> = (0..rsbs).map(|i| i % jobs).collect();
-        Self::from_assignment(assignment, jobs, &vec![1; rsbs], "round-robin")
-    }
-
-    /// LPT greedy: RSBs sorted by descending cost hint (ties: lower
-    /// index first) are assigned one by one to the currently
-    /// least-loaded shard (ties: lower shard index). `hints[i]` is the
-    /// estimated cost of RSB `i` in any consistent unit — typically
-    /// nanoseconds from a [`vapres_sim::profile::CostModel`].
-    pub fn balanced(hints: &[u64], jobs: usize) -> ShardPlan {
-        let rsbs = hints.len();
-        let jobs = jobs.clamp(1, rsbs.max(1));
-        let mut order: Vec<usize> = (0..rsbs).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(hints[i]), i));
-        let mut load = vec![0u64; jobs];
-        let mut assignment = vec![0usize; rsbs];
-        for i in order {
-            let shard = (0..jobs).min_by_key(|&s| (load[s], s)).expect("jobs >= 1");
-            assignment[i] = shard;
-            load[shard] += hints[i].max(1);
-        }
-        Self::from_assignment(assignment, jobs, hints, "cost-model")
-    }
-
-    fn from_assignment(
-        assignment: Vec<usize>,
-        jobs: usize,
-        hints: &[u64],
-        mode: &'static str,
-    ) -> ShardPlan {
-        let mut shards = vec![Vec::new(); jobs];
-        let mut shard_cost = vec![0u64; jobs];
-        for (rsb, &shard) in assignment.iter().enumerate() {
-            shards[shard].push(rsb);
-            shard_cost[shard] += hints[rsb];
-        }
-        ShardPlan {
-            assignment,
-            shards,
-            shard_cost,
-            mode,
-        }
-    }
-
-    /// Number of shards (= effective job count).
-    pub fn jobs(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of RSBs the plan covers.
-    pub fn rsb_count(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Which shard owns RSB `rsb`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rsb` is out of range.
-    pub fn shard_of(&self, rsb: usize) -> usize {
-        self.assignment[rsb]
-    }
-
-    /// The RSB indices of one shard, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn members(&self, shard: usize) -> &[usize] {
-        &self.shards[shard]
-    }
-
-    /// Estimated cost of one shard (sum of its members' hints).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn est_cost(&self, shard: usize) -> u64 {
-        self.shard_cost[shard]
-    }
-
-    /// `"round-robin"` or `"cost-model"`.
-    pub fn mode(&self) -> &'static str {
-        self.mode
-    }
-}
-
-/// The closure shipped to a worker for a software event.
-type ExecFn = Box<dyn FnOnce(&mut VapresSystem) -> Box<dyn Any + Send> + Send>;
-
-enum Cmd {
-    /// Bring every local system to exactly this instant.
-    RunTo(Ps),
-    /// Run a software event against local system `local`, then bring the
-    /// shard's other systems to the target's new time.
-    Exec { local: usize, f: ExecFn },
-    /// Serialize every local system, local order.
-    Checkpoint,
-}
-
-enum Reply {
-    At(Ps),
-    Exec {
-        result: Box<dyn Any + Send>,
-        after: Ps,
-    },
-    Images(Vec<Vec<u8>>),
-}
-
-enum BuildError {
-    Config(MultiRsbConfigError),
-    Persist(PersistError),
-}
-
-struct Worker {
-    tx: Option<Sender<Cmd>>,
-    rx: Receiver<Reply>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Worker {
-    fn send(&self, shard: usize, cmd: Cmd) {
-        if self.tx.as_ref().expect("worker alive").send(cmd).is_err() {
-            panic!("fleet worker {shard} panicked");
-        }
-    }
-
-    fn recv(&self, shard: usize) -> Reply {
-        match self.rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => panic!("fleet worker {shard} panicked"),
-        }
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        // Dropping the command sender ends the worker's loop.
-        self.tx = None;
-        if let Some(handle) = self.handle.take() {
-            // The worker may have panicked; the coordinator has already
-            // surfaced that via recv — don't double-panic here.
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The sharded fleet engine: drop-in for the sequential
-/// [`MultiRsbSystem`] with `run_for`/`with_rsb`/`now`/`checkpoint`
-/// semantics that are **byte-identical** for any job count (see the
-/// module docs for the protocol and why identity holds).
-///
-/// Software-event closures must be `Send + 'static` because they cross
-/// into the owning shard's thread; results come back the same way.
-pub struct ShardedMultiRsb {
-    workers: Vec<Worker>,
-    plan: ShardPlan,
-    now: Ps,
-}
-
-impl fmt::Debug for ShardedMultiRsb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedMultiRsb")
-            .field("rsbs", &self.plan.rsb_count())
-            .field("jobs", &self.plan.jobs())
-            .field("now", &self.now)
-            .finish()
-    }
-}
-
-impl ShardedMultiRsb {
-    /// Builds the fleet: spawns one worker per shard of `plan`; each
-    /// worker constructs its own systems from the plain-data
-    /// configurations (module factories never cross threads — `register`
-    /// runs once per RSB inside the owning worker).
-    ///
-    /// # Errors
-    ///
-    /// [`MultiRsbConfigError`] naming the lowest RSB index whose
-    /// configuration was rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.rsb_count() != configs.len()`.
-    pub fn new(
-        configs: Vec<SystemConfig>,
-        register: SharedRegister,
-        plan: ShardPlan,
-    ) -> Result<Self, MultiRsbConfigError> {
-        match Self::build(configs, register, plan, None) {
-            Ok(fleet) => Ok(fleet),
-            Err(BuildError::Config(e)) => Err(e),
-            Err(BuildError::Persist(e)) => {
-                unreachable!("no snapshot images supplied, got {e}")
-            }
-        }
-    }
-
-    /// Reconstructs a sharded fleet from a
-    /// [`MultiRsbSystem::checkpoint`]-format envelope; the two engines
-    /// produce interchangeable images.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiRsbSystem::restore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.rsb_count() != configs.len()`.
-    pub fn restore(
-        configs: Vec<SystemConfig>,
-        register: SharedRegister,
-        plan: ShardPlan,
-        bytes: &[u8],
-    ) -> Result<Self, PersistError> {
-        let r = &mut Reader::new(bytes);
-        if r.take_raw(8)? != FLEET_MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let version = r.take_u32()?;
-        if version != FLEET_FORMAT_VERSION {
-            return Err(PersistError::VersionMismatch {
-                found: version,
-                expected: FLEET_FORMAT_VERSION,
-            });
-        }
-        let count = r.take_usize()?;
-        if count != configs.len() {
-            return Err(PersistError::Corrupt(format!(
-                "fleet snapshot has {count} RSBs, {} configurations supplied",
-                configs.len()
-            )));
-        }
-        let mut images = Vec::with_capacity(count);
-        for _ in 0..count {
-            images.push(r.take_bytes()?);
-        }
-        r.expect_end()?;
-        match Self::build(configs, register, plan, Some(images)) {
-            Ok(fleet) => Ok(fleet),
-            Err(BuildError::Persist(e)) => Err(e),
-            Err(BuildError::Config(e)) => Err(PersistError::Corrupt(e.to_string())),
-        }
-    }
-
-    fn build(
-        mut configs: Vec<SystemConfig>,
-        register: SharedRegister,
-        plan: ShardPlan,
-        images: Option<Vec<Vec<u8>>>,
-    ) -> Result<Self, BuildError> {
-        assert_eq!(
-            plan.rsb_count(),
-            configs.len(),
-            "partition plan covers {} RSBs, {} configurations supplied",
-            plan.rsb_count(),
-            configs.len()
-        );
-        let mut images: Vec<Option<Vec<u8>>> = match images {
-            Some(v) => v.into_iter().map(Some).collect(),
-            None => vec![None; configs.len()],
-        };
-        // Hand each config/image to its owning shard without cloning:
-        // drain in reverse index order so removal is O(1) per item.
-        type ShardItem = (usize, SystemConfig, Option<Vec<u8>>);
-        let mut per_shard: Vec<Vec<ShardItem>> = vec![Vec::new(); plan.jobs()];
-        for rsb in (0..configs.len()).rev() {
-            per_shard[plan.shard_of(rsb)].push((
-                rsb,
-                configs.pop().expect("one config per RSB"),
-                images.pop().expect("one image slot per RSB"),
-            ));
-        }
-        let mut workers = Vec::with_capacity(plan.jobs());
-        let mut acks = Vec::with_capacity(plan.jobs());
-        for mut items in per_shard {
-            items.reverse(); // ascending RSB index == ShardPlan::members order
-            let register = Arc::clone(&register);
-            let (cmd_tx, cmd_rx) = channel::<Cmd>();
-            let (reply_tx, reply_rx) = channel::<Reply>();
-            let (ack_tx, ack_rx) = channel::<Result<Ps, BuildError>>();
-            let handle = std::thread::spawn(move || {
-                let mut systems = Vec::with_capacity(items.len());
-                for (rsb, cfg, image) in items {
-                    let mut lib = ModuleLibrary::new();
-                    register(&mut lib);
-                    let built = match image {
-                        Some(image) => {
-                            VapresSystem::restore(cfg, lib, &image).map_err(BuildError::Persist)
-                        }
-                        None => VapresSystem::new(cfg, lib).map_err(|source| {
-                            BuildError::Config(MultiRsbConfigError { rsb, source })
-                        }),
-                    };
-                    match built {
-                        Ok(sys) => systems.push(sys),
-                        Err(e) => {
-                            let _ = ack_tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-                // Report the shard's local time: restored images resume
-                // mid-run, and the coordinator adopts the common instant.
-                let at = systems
-                    .iter()
-                    .map(VapresSystem::now)
-                    .max()
-                    .unwrap_or(Ps::ZERO);
-                let _ = ack_tx.send(Ok(at));
-                worker_loop(&mut systems, &cmd_rx, &reply_tx);
-            });
-            workers.push(Worker {
-                tx: Some(cmd_tx),
-                rx: reply_rx,
-                handle: Some(handle),
-            });
-            acks.push(ack_rx);
-        }
-        // Collect every shard's construction verdict; report the failure
-        // with the lowest RSB index so the error is deterministic no
-        // matter which shard lost the race.
-        let mut first_err: Option<BuildError> = None;
-        let mut now = Ps::ZERO;
-        for (shard, ack) in acks.iter().enumerate() {
-            let verdict = ack
-                .recv()
-                .unwrap_or_else(|_| panic!("fleet worker {shard} panicked during construction"));
-            match verdict {
-                Ok(at) => now = now.max(at),
-                Err(e) => {
-                    first_err = Some(match (first_err.take(), e) {
-                        (Some(BuildError::Config(a)), BuildError::Config(b)) => {
-                            BuildError::Config(if b.rsb < a.rsb { b } else { a })
-                        }
-                        (Some(prev), _) => prev,
-                        (None, e) => e,
-                    });
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e); // dropping `workers` joins the threads
-        }
-        Ok(ShardedMultiRsb { workers, plan, now })
-    }
-
-    /// The partition this fleet runs under.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of RSBs.
-    pub fn rsb_count(&self) -> usize {
-        self.plan.rsb_count()
-    }
-
-    /// The common simulated time (all RSBs stay aligned at the barrier).
-    pub fn now(&self) -> Ps {
-        self.now
-    }
-
-    /// Runs every RSB for `dur`: one conservative lookahead window in
-    /// which all shards free-run concurrently to the common deadline.
-    pub fn run_for(&mut self, dur: Ps) {
-        let deadline = self.now + dur;
-        self.broadcast_run_to(deadline);
-        self.now = deadline;
-    }
-
-    /// Executes MicroBlaze software against one RSB, then brings every
-    /// other RSB forward to the same instant — the single-processor,
-    /// single-ICAP semantics of [`MultiRsbSystem::with_rsb`], coordinated
-    /// across shards with the align/exec/release barrier protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rsb` is out of range or a worker thread has panicked.
-    pub fn with_rsb<R: Send + 'static>(
-        &mut self,
-        rsb: usize,
-        f: impl FnOnce(&mut VapresSystem) -> R + Send + 'static,
-    ) -> R {
-        assert!(rsb < self.rsb_count(), "RSB {rsb} out of range");
-        // Align barrier (idempotent — mirrors the sequential engine's
-        // alignment loop, including its run_for(0) calls).
-        let before = self.now;
-        self.broadcast_run_to(before);
-        let shard = self.plan.shard_of(rsb);
-        let local = self
-            .plan
-            .members(shard)
-            .iter()
-            .position(|&g| g == rsb)
-            .expect("rsb is a member of its own shard");
-        let boxed: ExecFn = Box::new(move |sys| Box::new(f(sys)) as Box<dyn Any + Send>);
-        self.workers[shard].send(shard, Cmd::Exec { local, f: boxed });
-        let (result, after) = match self.workers[shard].recv(shard) {
-            Reply::Exec { result, after } => (result, after),
-            _ => unreachable!("Exec answers with Exec"),
-        };
-        // Release every other shard to the software event's end time.
-        for (s, w) in self.workers.iter().enumerate() {
-            if s != shard {
-                w.send(s, Cmd::RunTo(after));
-            }
-        }
-        for (s, w) in self.workers.iter().enumerate() {
-            if s != shard {
-                match w.recv(s) {
-                    Reply::At(t) => debug_assert_eq!(t, after),
-                    _ => unreachable!("RunTo answers with At"),
-                }
-            }
-        }
-        self.now = after;
-        *result
-            .downcast::<R>()
-            .expect("software event returns the closure's result type")
-    }
-
-    /// Serializes the fleet in the [`MultiRsbSystem::checkpoint`]
-    /// envelope format. Because every RSB observed the identical call
-    /// sequence, the bytes equal the sequential engine's for the same
-    /// history — the checkpoint is itself a merged observable under the
-    /// bit-identity contract.
-    pub fn checkpoint(&mut self) -> Vec<u8> {
-        for (s, w) in self.workers.iter().enumerate() {
-            w.send(s, Cmd::Checkpoint);
-        }
-        let mut images: Vec<Option<Vec<u8>>> = vec![None; self.rsb_count()];
-        for (s, w) in self.workers.iter().enumerate() {
-            match w.recv(s) {
-                Reply::Images(local) => {
-                    for (&rsb, image) in self.plan.members(s).iter().zip(local) {
-                        images[rsb] = Some(image);
-                    }
-                }
-                _ => unreachable!("Checkpoint answers with Images"),
-            }
-        }
-        let mut w = Writer::new();
-        w.put_raw(&FLEET_MAGIC);
-        w.put_u32(FLEET_FORMAT_VERSION);
-        w.put_usize(images.len());
-        for image in images {
-            w.put_bytes(&image.expect("every RSB serialized"));
-        }
-        w.into_bytes()
-    }
-
-    fn broadcast_run_to(&mut self, deadline: Ps) {
-        for (s, w) in self.workers.iter().enumerate() {
-            w.send(s, Cmd::RunTo(deadline));
-        }
-        for (s, w) in self.workers.iter().enumerate() {
-            match w.recv(s) {
-                Reply::At(t) => debug_assert_eq!(t, deadline),
-                _ => unreachable!("RunTo answers with At"),
-            }
-        }
-    }
-}
-
-fn worker_loop(systems: &mut [VapresSystem], rx: &Receiver<Cmd>, tx: &Sender<Reply>) {
-    while let Ok(cmd) = rx.recv() {
-        let reply = match cmd {
-            Cmd::RunTo(deadline) => {
-                for s in systems.iter_mut() {
-                    let delta = deadline
-                        .checked_sub(s.now())
-                        .expect("shard never runs ahead of the coordinator");
-                    s.run_for(delta);
-                }
-                Reply::At(deadline)
-            }
-            Cmd::Exec { local, f } => {
-                let result = f(&mut systems[local]);
-                let after = systems[local].now();
-                for (i, s) in systems.iter_mut().enumerate() {
-                    if i != local {
-                        let delta = after
-                            .checked_sub(s.now())
-                            .expect("software event never rewinds time");
-                        s.run_for(delta);
-                    }
-                }
-                Reply::Exec { result, after }
-            }
-            Cmd::Checkpoint => Reply::Images(systems.iter_mut().map(|s| s.checkpoint()).collect()),
-        };
-        if tx.send(reply).is_err() {
-            return; // coordinator gone
-        }
-    }
-}
-
-/// One fleet engine behind one API: the sequential oracle for
-/// `jobs <= 1`, the sharded engine otherwise. Both paths expose the same
-/// partition plan so work-accounting reports are uniform; both produce
-/// byte-identical observables for the same call sequence.
-pub enum FleetEngine {
-    /// The single-threaded [`MultiRsbSystem`] — the oracle the sharded
-    /// engine is checked against.
-    Sequential(MultiRsbSystem),
-    /// The worker-thread engine.
-    Sharded(ShardedMultiRsb),
-}
-
-/// A fleet plus its partition plan, independent of which engine runs it.
-pub struct FleetSystem {
-    engine: FleetEngine,
-    plan: ShardPlan,
-}
-
-impl fmt::Debug for FleetSystem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FleetSystem")
-            .field("rsbs", &self.plan.rsb_count())
-            .field("jobs", &self.plan.jobs())
-            .field(
-                "engine",
-                &match self.engine {
-                    FleetEngine::Sequential(_) => "sequential",
-                    FleetEngine::Sharded(_) => "sharded",
-                },
-            )
-            .finish()
-    }
-}
+/// Restores fleets as [`MultiRsbSystem`]s.
+#[derive(Debug)]
+pub struct FleetSystem;
 
 impl FleetSystem {
-    /// Builds a fleet under `plan`: sequential when the plan has one
-    /// shard, sharded otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`MultiRsbConfigError`] naming the lowest failing RSB index.
-    pub fn new(
-        configs: Vec<SystemConfig>,
-        register: SharedRegister,
-        plan: ShardPlan,
-    ) -> Result<Self, MultiRsbConfigError> {
-        let engine = if plan.jobs() <= 1 {
-            FleetEngine::Sequential(MultiRsbSystem::new(configs, |lib| register(lib))?)
-        } else {
-            FleetEngine::Sharded(ShardedMultiRsb::new(configs, register, plan.clone())?)
-        };
-        Ok(FleetSystem { engine, plan })
-    }
-
-    /// Reconstructs a fleet from a checkpoint envelope under `plan`.
+    /// [`MultiRsbSystem::restore`]; `_plan` is ignored; kept for the
+    /// frozen benchmark harness.
     ///
     /// # Errors
     ///
@@ -643,260 +29,9 @@ impl FleetSystem {
     pub fn restore(
         configs: Vec<SystemConfig>,
         register: SharedRegister,
-        plan: ShardPlan,
+        _plan: (),
         bytes: &[u8],
-    ) -> Result<Self, PersistError> {
-        let engine = if plan.jobs() <= 1 {
-            FleetEngine::Sequential(MultiRsbSystem::restore(
-                configs,
-                |lib| register(lib),
-                bytes,
-            )?)
-        } else {
-            FleetEngine::Sharded(ShardedMultiRsb::restore(
-                configs,
-                register,
-                plan.clone(),
-                bytes,
-            )?)
-        };
-        Ok(FleetSystem { engine, plan })
-    }
-
-    /// The partition plan (also meaningful for the sequential engine:
-    /// one shard holding every RSB).
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Which engine is running.
-    pub fn engine(&self) -> &FleetEngine {
-        &self.engine
-    }
-
-    /// Number of RSBs.
-    pub fn rsb_count(&self) -> usize {
-        self.plan.rsb_count()
-    }
-
-    /// The common simulated time.
-    pub fn now(&self) -> Ps {
-        match &self.engine {
-            FleetEngine::Sequential(m) => m.now(),
-            FleetEngine::Sharded(s) => s.now(),
-        }
-    }
-
-    /// Runs every RSB for `dur`.
-    pub fn run_for(&mut self, dur: Ps) {
-        match &mut self.engine {
-            FleetEngine::Sequential(m) => m.run_for(dur),
-            FleetEngine::Sharded(s) => s.run_for(dur),
-        }
-    }
-
-    /// Executes MicroBlaze software against one RSB (see
-    /// [`MultiRsbSystem::with_rsb`]). The `Send + 'static` bounds are
-    /// required by the sharded engine; the sequential path just calls
-    /// through.
-    pub fn with_rsb<R: Send + 'static>(
-        &mut self,
-        rsb: usize,
-        f: impl FnOnce(&mut VapresSystem) -> R + Send + 'static,
-    ) -> R {
-        match &mut self.engine {
-            FleetEngine::Sequential(m) => m.with_rsb(rsb, f),
-            FleetEngine::Sharded(s) => s.with_rsb(rsb, f),
-        }
-    }
-
-    /// Serializes the fleet (engine-independent bytes).
-    pub fn checkpoint(&mut self) -> Vec<u8> {
-        match &mut self.engine {
-            FleetEngine::Sequential(m) => m.checkpoint(),
-            FleetEngine::Sharded(s) => s.checkpoint(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::module::{HardwareModule, ModuleIo};
-    use vapres_bitstream::stream::ModuleUid;
-
-    const WIRE: ModuleUid = ModuleUid(0x77);
-
-    struct Wire;
-    impl HardwareModule for Wire {
-        fn name(&self) -> &str {
-            "wire"
-        }
-        fn uid(&self) -> ModuleUid {
-            WIRE
-        }
-        fn required_slices(&self) -> u32 {
-            8
-        }
-        fn tick(&mut self, io: &mut ModuleIo<'_>) {
-            if io.output_space(0) > 0 {
-                if let Some(w) = io.read_input(0) {
-                    io.write_output(0, w);
-                }
-            }
-        }
-        fn save_state(&self) -> Vec<u32> {
-            Vec::new()
-        }
-        fn restore_state(&mut self, _s: &[u32]) {}
-        fn reset(&mut self) {}
-    }
-
-    fn register(lib: &mut ModuleLibrary) {
-        lib.register(WIRE, || Box::new(Wire));
-    }
-
-    fn shared_register() -> SharedRegister {
-        Arc::new(register)
-    }
-
-    fn configs(n: usize) -> Vec<SystemConfig> {
-        (0..n).map(|_| SystemConfig::prototype()).collect()
-    }
-
-    fn setup_stream(s: &mut VapresSystem, interval: u64) {
-        let p = crate::PortRef::new(0, 0);
-        s.vapres_establish_channel(p, p).expect("loopback");
-        s.bring_up_node(0, false).expect("iom up");
-        s.iom_set_input_interval(0, interval);
-        s.iom_feed(0, 0..4_000);
-    }
-
-    fn run_script(fleet: &mut FleetSystem) {
-        let rsbs = fleet.rsb_count();
-        for rsb in 0..rsbs {
-            let interval = 50 + 25 * rsb as u64;
-            fleet.with_rsb(rsb, move |s| setup_stream(s, interval));
-        }
-        fleet.run_for(Ps::from_us(30));
-        // A software event that costs real time on RSB 0 while the rest
-        // stream through it.
-        fleet.with_rsb(0, |s| {
-            s.install_bitstream(0, WIRE, "w.bit").expect("install");
-            s.vapres_cf2array("w.bit", "w").expect("stage");
-        });
-        fleet.run_for(Ps::from_us(17));
-    }
-
-    fn harvest(fleet: &mut FleetSystem) -> Vec<(Ps, Vec<(Ps, u32)>)> {
-        (0..fleet.rsb_count())
-            .map(|rsb| {
-                fleet.with_rsb(rsb, |s| {
-                    (
-                        s.now(),
-                        s.iom_output(0)
-                            .iter()
-                            .map(|&(at, w)| (at, w.data))
-                            .collect(),
-                    )
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn round_robin_covers_all_rsbs() {
-        let plan = ShardPlan::round_robin(7, 3);
-        assert_eq!(plan.jobs(), 3);
-        assert_eq!(plan.members(0), &[0, 3, 6]);
-        assert_eq!(plan.members(1), &[1, 4]);
-        assert_eq!(plan.members(2), &[2, 5]);
-        assert_eq!(plan.shard_of(6), 0);
-        assert_eq!(plan.est_cost(0), 3);
-        assert_eq!(plan.mode(), "round-robin");
-        // Jobs clamp: never more shards than RSBs, never zero.
-        assert_eq!(ShardPlan::round_robin(2, 8).jobs(), 2);
-        assert_eq!(ShardPlan::round_robin(3, 0).jobs(), 1);
-    }
-
-    #[test]
-    fn balanced_is_lpt_and_deterministic() {
-        // Costs 10, 9, 2, 2, 2: LPT on 2 shards → {10, 2} vs {9, 2, 2}.
-        let hints = [10, 9, 2, 2, 2];
-        let plan = ShardPlan::balanced(&hints, 2);
-        assert_eq!(plan.members(0), &[0, 3]);
-        assert_eq!(plan.members(1), &[1, 2, 4]);
-        assert_eq!(plan.est_cost(0), 12);
-        assert_eq!(plan.est_cost(1), 13);
-        assert_eq!(plan.mode(), "cost-model");
-        assert_eq!(plan, ShardPlan::balanced(&hints, 2));
-        // Equal hints degrade to round-robin-like spread, ties by index.
-        let flat = ShardPlan::balanced(&[5, 5, 5, 5], 2);
-        assert_eq!(flat.members(0), &[0, 2]);
-        assert_eq!(flat.members(1), &[1, 3]);
-    }
-
-    #[test]
-    fn sharded_matches_sequential_bit_for_bit() {
-        let rsbs = 4;
-        let mut seq = FleetSystem::new(
-            configs(rsbs),
-            shared_register(),
-            ShardPlan::round_robin(rsbs, 1),
-        )
-        .expect("sequential");
-        run_script(&mut seq);
-        let expected = harvest(&mut seq);
-        let expected_ck = seq.checkpoint();
-        for jobs in [2, 3, 4] {
-            let mut sharded = FleetSystem::new(
-                configs(rsbs),
-                shared_register(),
-                ShardPlan::round_robin(rsbs, jobs),
-            )
-            .expect("sharded");
-            run_script(&mut sharded);
-            assert_eq!(harvest(&mut sharded), expected, "jobs={jobs}");
-            assert_eq!(sharded.now(), seq.now(), "jobs={jobs}");
-            assert_eq!(sharded.checkpoint(), expected_ck, "jobs={jobs} checkpoint");
-        }
-    }
-
-    #[test]
-    fn sharded_construction_error_names_lowest_rsb() {
-        let mut cfgs = configs(5);
-        cfgs[3].fsl_depth = 1;
-        cfgs[4].fsl_depth = 1;
-        let err = ShardedMultiRsb::new(cfgs, shared_register(), ShardPlan::round_robin(5, 2))
-            .expect_err("invalid configs rejected");
-        assert_eq!(err.rsb, 3);
-    }
-
-    #[test]
-    fn sharded_checkpoint_restores_into_either_engine() {
-        let rsbs = 3;
-        let mut sharded = FleetSystem::new(
-            configs(rsbs),
-            shared_register(),
-            ShardPlan::round_robin(rsbs, 2),
-        )
-        .expect("sharded");
-        run_script(&mut sharded);
-        let image = sharded.checkpoint();
-        let mut seq = MultiRsbSystem::restore(configs(rsbs), register, &image)
-            .expect("sequential restore of sharded image");
-        let mut back = ShardedMultiRsb::restore(
-            configs(rsbs),
-            shared_register(),
-            ShardPlan::round_robin(rsbs, 2),
-            &image,
-        )
-        .expect("sharded restore");
-        assert_eq!(back.now(), seq.now());
-        seq.run_for(Ps::from_us(9));
-        back.run_for(Ps::from_us(9));
-        let a = seq.rsb(1).iom_output(0).to_vec();
-        let b = back.with_rsb(1, |s| s.iom_output(0).to_vec());
-        assert_eq!(a, b);
+    ) -> Result<MultiRsbSystem, PersistError> {
+        MultiRsbSystem::restore(configs, |lib| register(lib), bytes)
     }
 }

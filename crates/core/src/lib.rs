@@ -60,7 +60,6 @@ pub mod system;
 pub use adaptive::{AdaptiveController, HysteresisPolicy, SwapPolicy};
 pub use api::{ApiError, ReconfigReport};
 pub use config::{NodeKind, SystemConfig};
-pub use fleet::{FleetEngine, FleetSystem, ShardPlan, ShardedMultiRsb, SharedRegister};
 pub use health::{evaluate_health, HealthPolicy};
 pub use module::{HardwareModule, ModuleIo, ModuleLibrary};
 pub use multirsb::{MultiRsbConfigError, MultiRsbSystem};

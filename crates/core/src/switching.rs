@@ -95,6 +95,10 @@ pub struct SwapReport {
     pub eos_at: Ps,
     /// When the downstream channel to the new module was live.
     pub completed_at: Ps,
+    /// The channel feeding the new module after the swap.
+    pub upstream: ChannelId,
+    /// The channel from the new module toward the sink after the swap.
+    pub downstream: ChannelId,
 }
 
 impl SwapReport {
@@ -270,7 +274,7 @@ fn seamless_swap_inner(
     // Step 4: re-route the upstream channel to the spare, losslessly.
     enter_step(sys, "seamless", step, "4_reroute_upstream");
     let (src_producer, _old_consumer) = drain_and_release(sys, spec.upstream)?;
-    sys.vapres_establish_channel(src_producer, PortRef::new(spec.spare_node, 0))?;
+    let upstream = sys.vapres_establish_channel(src_producer, PortRef::new(spec.spare_node, 0))?;
     let rerouted_at = sys.now();
 
     // Step 5–6: tell the old module to finish; it drains its FIFO, emits
@@ -301,7 +305,7 @@ fn seamless_swap_inner(
     // Step 9: connect the new module's producer to the sink.
     enter_step(sys, "seamless", step, "9_reconnect_downstream");
     sys.vapres_release_channel(spec.downstream)?;
-    sys.vapres_establish_channel(PortRef::new(spec.spare_node, 0), sink)?;
+    let downstream = sys.vapres_establish_channel(PortRef::new(spec.spare_node, 0), sink)?;
     let completed_at = sys.now();
 
     // The nine step spans tile [started_at, completed_at] exactly: their
@@ -333,6 +337,8 @@ fn seamless_swap_inner(
         state_words: state.len(),
         eos_at,
         completed_at,
+        upstream,
+        downstream,
     })
 }
 
@@ -418,8 +424,8 @@ fn halt_and_swap_inner(
 
     // Re-establish both channels and resume the source.
     enter_step(sys, "halt", step, "6_reconnect");
-    sys.vapres_establish_channel(src_producer, PortRef::new(spec.active_node, 0))?;
-    sys.vapres_establish_channel(PortRef::new(spec.active_node, 0), sink)?;
+    let upstream = sys.vapres_establish_channel(src_producer, PortRef::new(spec.active_node, 0))?;
+    let downstream = sys.vapres_establish_channel(PortRef::new(spec.active_node, 0), sink)?;
     let mut dcr = sys.dcr(src_producer.node);
     dcr.fifo_ren = true;
     sys.write_dcr(src_producer.node, dcr)?;
@@ -445,5 +451,7 @@ fn halt_and_swap_inner(
         state_words: state.len(),
         eos_at,
         completed_at,
+        upstream,
+        downstream,
     })
 }

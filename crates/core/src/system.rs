@@ -1213,8 +1213,8 @@ impl VapresSystem {
     }
 
     /// Harvests ([`profile_snapshot`](Self::profile_snapshot)) and joins
-    /// the planes into the partition-ready cost model. `None` when
-    /// profiling was never enabled.
+    /// the planes into the cost model. `None` when profiling was never
+    /// enabled.
     pub fn profile_cost_model(&mut self) -> Option<CostModel> {
         self.profile_snapshot();
         self.profile.as_deref().map(|p| p.prof.cost_model())

@@ -34,7 +34,7 @@
 //! * [`profile`] — the two-plane self-profiler ([`profile::Profiler`]):
 //!   deterministic per-component work units (persisted like every other
 //!   observable) plus host wall-time scopes (never persisted), joined
-//!   into a partition-ready [`profile::CostModel`].
+//!   into a [`profile::CostModel`].
 //!
 //! Higher layers (`vapres-stream`, `vapres-core`) pull edges from the
 //! scheduler — directly, or through the executor's activity tracking — and
