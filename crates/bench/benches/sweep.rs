@@ -10,7 +10,7 @@
 use std::time::Instant;
 use vapres_bench::banner;
 use vapres_core::scenario::{merge_telemetry, run_sweep_with, SweepGrid};
-use vapres_kpn::run_scenario;
+use vapres_kpn::{clear_prefix_cache, run_scenario};
 
 fn main() {
     banner("SWEEP", "parallel scenario sweep over the 16-point E3 grid");
@@ -28,6 +28,9 @@ fn main() {
     let mut baseline = None;
     let mut merged = Vec::new();
     for jobs in [1usize, 2, 4] {
+        // Each job count builds its own warm-start prefixes; reusing the
+        // ones jobs=1 left behind would inflate the later speedups.
+        clear_prefix_cache();
         let t = Instant::now();
         let results = run_sweep_with(&scenarios, jobs, run_scenario);
         let wall = t.elapsed();

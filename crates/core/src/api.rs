@@ -139,7 +139,7 @@ impl ReconfigReport {
 
 impl VapresSystem {
     fn charge_cycles(&mut self, cycles: u64) {
-        let dur = Ps::new(cycles * self.cfg.static_clock.period().as_ps());
+        let dur = Ps::new(cycles * self.static_period_ps);
         self.run_for(dur);
     }
 

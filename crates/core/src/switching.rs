@@ -175,8 +175,7 @@ fn drain_and_release(
     dcr.fifo_ren = false;
     sys.write_dcr(producer.node, dcr)?;
     // Let in-flight words land (depth registers + 2 slack cycles).
-    let cycle = sys.config().static_clock.period().as_ps();
-    sys.run_for(Ps::new((depth + 2) * cycle));
+    sys.run_for(Ps::new((depth + 2) * sys.static_period_ps));
     sys.vapres_release_channel(channel)?;
     // Restore the producer's read enable for its next channel.
     let mut dcr = sys.dcr(producer.node);

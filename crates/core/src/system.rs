@@ -293,6 +293,9 @@ pub struct VapresSystem {
     pub(crate) cfg: SystemConfig,
     pub(crate) clocks: ClockScheduler,
     pub(crate) static_domain: DomainId,
+    /// `cfg.static_clock.period()` in picoseconds, cached off the
+    /// per-step path (the configuration never changes after `new`).
+    pub(crate) static_period_ps: u64,
     pub(crate) fabric: StreamFabric,
     pub(crate) sockets: Vec<PrSocket>,
     pub(crate) fsl: Vec<FslPair>,
@@ -538,6 +541,7 @@ impl VapresSystem {
         Ok(VapresSystem {
             clocks,
             static_domain,
+            static_period_ps: cfg.static_clock.period().as_ps(),
             fabric,
             sockets,
             fsl,
@@ -770,9 +774,10 @@ impl VapresSystem {
                 word_trace,
                 profile,
                 cfg,
+                static_period_ps,
                 ..
             } = self;
-            let period_ps = cfg.static_clock.period().as_ps();
+            let period_ps = *static_period_ps;
             let ki = cfg.params.ki;
             // Horizon scheduling would starve the per-edge VCD sampling
             // cadence; with tracing on, the fabric stays per-cycle.
@@ -849,7 +854,7 @@ impl VapresSystem {
     /// against the event-driven path.
     fn dispatch_dense(&mut self, edge: Edge) {
         let mut no_wake = |_req: WakeReq| {};
-        let period_ps = self.cfg.static_clock.period().as_ps();
+        let period_ps = self.static_period_ps;
         if edge.domain == self.static_domain {
             self.fabric.tick_dense();
             for i in 0..self.ioms.len() {
@@ -996,7 +1001,7 @@ impl VapresSystem {
         let Some(fr) = self.flight.as_mut() else {
             return;
         };
-        let period = self.cfg.static_clock.period().as_ps();
+        let period = self.static_period_ps;
         for ev in self.fabric.drain_fifo_events() {
             let side = if ev.producer {
                 FifoSide::Producer
@@ -1538,7 +1543,7 @@ impl VapresSystem {
     pub fn iom_set_input_interval(&mut self, iom: usize, cycles: u64) {
         assert!(cycles > 0, "sample interval must be non-zero");
         self.ioms[iom].input_interval = cycles;
-        let nominal = Ps::new(cycles * self.cfg.static_clock.period().as_ps());
+        let nominal = Ps::new(cycles * self.static_period_ps);
         self.ioms[iom].gap.set_nominal(nominal);
     }
 

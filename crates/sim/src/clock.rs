@@ -8,11 +8,14 @@
 //! Determinism: simultaneous edges are delivered in ascending
 //! [`DomainId`] order (i.e. registration order), so a run is a pure
 //! function of the inputs.
+//!
+//! A system has a handful of domains (the static clock plus one per PRR),
+//! so the next edge is found by a min-scan over them rather than a heap:
+//! no entry goes stale on a frequency change, gating or fast-forward.
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::time::{Freq, Ps};
-use std::collections::BinaryHeap;
-use std::{cmp, fmt};
+use std::fmt;
 
 /// Identifies a clock domain within one [`ClockScheduler`].
 ///
@@ -40,32 +43,23 @@ pub struct Edge {
 #[derive(Debug, Clone)]
 struct Domain {
     freq: Freq,
+    /// `freq.period()` in picoseconds, cached off the per-edge path.
+    period: u64,
     enabled: bool,
     /// Time of the next rising edge if enabled.
     next_edge: Ps,
     cycles: u64,
 }
 
-/// Entry in the edge heap. Reversed ordering turns `BinaryHeap` (max-heap)
-/// into a min-heap on `(time, domain)`.
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
-    at: Ps,
-    domain: DomainId,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.domain.cmp(&self.domain))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<cmp::Ordering> {
-        Some(self.cmp(other))
+impl Domain {
+    fn new(freq: Freq, enabled: bool, next_edge: Ps, cycles: u64) -> Self {
+        Domain {
+            freq,
+            period: freq.period().as_ps(),
+            enabled,
+            next_edge,
+            cycles,
+        }
     }
 }
 
@@ -101,7 +95,6 @@ impl PartialOrd for HeapEntry {
 #[derive(Debug, Default)]
 pub struct ClockScheduler {
     domains: Vec<Domain>,
-    heap: BinaryHeap<HeapEntry>,
     now: Ps,
 }
 
@@ -115,16 +108,7 @@ impl ClockScheduler {
     pub fn add_domain(&mut self, freq: Freq) -> DomainId {
         let id = DomainId(self.domains.len());
         let next = self.now + freq.period();
-        self.domains.push(Domain {
-            freq,
-            enabled: true,
-            next_edge: next,
-            cycles: 0,
-        });
-        self.heap.push(HeapEntry {
-            at: next,
-            domain: id,
-        });
+        self.domains.push(Domain::new(freq, true, next, 0));
         id
     }
 
@@ -181,12 +165,9 @@ impl ClockScheduler {
     pub fn set_frequency(&mut self, id: DomainId, freq: Freq) {
         let dom = &mut self.domains[id.0];
         dom.freq = freq;
+        dom.period = freq.period().as_ps();
         if dom.enabled {
-            dom.next_edge = self.now + freq.period();
-            self.heap.push(HeapEntry {
-                at: dom.next_edge,
-                domain: id,
-            });
+            dom.next_edge = Ps::new(self.now.as_ps() + dom.period);
         }
     }
 
@@ -206,11 +187,7 @@ impl ClockScheduler {
         }
         dom.enabled = enabled;
         if enabled {
-            dom.next_edge = self.now + dom.freq.period();
-            self.heap.push(HeapEntry {
-                at: dom.next_edge,
-                domain: id,
-            });
+            dom.next_edge = Ps::new(self.now.as_ps() + dom.period);
         }
     }
 
@@ -218,28 +195,32 @@ impl ClockScheduler {
     ///
     /// Returns `None` when no domain is enabled (or none are registered).
     pub fn next_edge(&mut self) -> Option<Edge> {
-        loop {
-            let entry = self.heap.pop()?;
-            let dom = &mut self.domains[entry.domain.0];
-            // Stale entries arise when a domain was re-scheduled (frequency
-            // change, gating) after this entry was pushed; skip them.
-            if !dom.enabled || dom.next_edge != entry.at {
-                continue;
+        let idx = self.earliest()?;
+        Some(self.deliver(idx))
+    }
+
+    /// The enabled domain with the earliest next edge; ties go to the
+    /// lowest [`DomainId`].
+    fn earliest(&self) -> Option<usize> {
+        let mut best: Option<(Ps, usize)> = None;
+        for (idx, dom) in self.domains.iter().enumerate() {
+            if dom.enabled && best.is_none_or(|(at, _)| dom.next_edge < at) {
+                best = Some((dom.next_edge, idx));
             }
-            self.now = entry.at;
-            dom.cycles += 1;
-            let cycle = dom.cycles;
-            dom.next_edge = entry.at + dom.freq.period();
-            let next = dom.next_edge;
-            self.heap.push(HeapEntry {
-                at: next,
-                domain: entry.domain,
-            });
-            return Some(Edge {
-                domain: entry.domain,
-                at: entry.at,
-                cycle,
-            });
+        }
+        best.map(|(_, idx)| idx)
+    }
+
+    fn deliver(&mut self, idx: usize) -> Edge {
+        let dom = &mut self.domains[idx];
+        let at = dom.next_edge;
+        self.now = at;
+        dom.cycles += 1;
+        dom.next_edge = Ps::new(at.as_ps() + dom.period);
+        Edge {
+            domain: DomainId(idx),
+            at,
+            cycle: dom.cycles,
         }
     }
 
@@ -254,18 +235,13 @@ impl ClockScheduler {
         if deadline <= self.now {
             return;
         }
-        for (idx, dom) in self.domains.iter_mut().enumerate() {
+        for dom in &mut self.domains {
             if !dom.enabled || dom.next_edge > deadline {
                 continue;
             }
-            let period = dom.freq.period().as_ps();
-            let skipped = (deadline.as_ps() - dom.next_edge.as_ps()) / period + 1;
+            let skipped = (deadline.as_ps() - dom.next_edge.as_ps()) / dom.period + 1;
             dom.cycles += skipped;
-            dom.next_edge = Ps::new(dom.next_edge.as_ps() + skipped * period);
-            self.heap.push(HeapEntry {
-                at: dom.next_edge,
-                domain: DomainId(idx),
-            });
+            dom.next_edge = Ps::new(dom.next_edge.as_ps() + skipped * dom.period);
         }
         self.now = deadline;
     }
@@ -275,22 +251,12 @@ impl ClockScheduler {
     /// If the next edge is later than `deadline`, no edge is consumed and
     /// `now` is advanced to `deadline`.
     pub fn next_edge_before(&mut self, deadline: Ps) -> Option<Edge> {
-        // Peek (skipping stale entries) without committing.
-        loop {
-            let Some(top) = self.heap.peek() else {
+        match self.earliest() {
+            Some(idx) if self.domains[idx].next_edge <= deadline => Some(self.deliver(idx)),
+            _ => {
                 self.now = deadline.max(self.now);
-                return None;
-            };
-            let dom = &self.domains[top.domain.0];
-            if !dom.enabled || dom.next_edge != top.at {
-                self.heap.pop();
-                continue;
+                None
             }
-            if top.at > deadline {
-                self.now = deadline.max(self.now);
-                return None;
-            }
-            return self.next_edge();
         }
     }
 }
@@ -305,10 +271,7 @@ impl Persist for ClockScheduler {
             d.next_edge.persist(w);
             d.cycles.persist(w);
         }
-        // The heap is derived state: exactly one live entry per enabled
-        // domain (at its `next_edge`) reproduces future edge order, and
-        // stale entries are skipped lazily anyway — so it is rebuilt on
-        // restore, never encoded.
+        // The cached period is derived from `freq` and never encoded.
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -316,26 +279,16 @@ impl Persist for ClockScheduler {
         let n = r.take_usize()?;
         let mut sched = ClockScheduler {
             domains: Vec::with_capacity(n.min(r.remaining())),
-            heap: BinaryHeap::new(),
             now,
         };
-        for idx in 0..n {
+        for _ in 0..n {
             let freq = Freq::restore(r)?;
             let enabled = bool::restore(r)?;
             let next_edge = Ps::restore(r)?;
             let cycles = u64::restore(r)?;
-            sched.domains.push(Domain {
-                freq,
-                enabled,
-                next_edge,
-                cycles,
-            });
-            if enabled {
-                sched.heap.push(HeapEntry {
-                    at: next_edge,
-                    domain: DomainId(idx),
-                });
-            }
+            sched
+                .domains
+                .push(Domain::new(freq, enabled, next_edge, cycles));
         }
         Ok(sched)
     }
@@ -501,6 +454,129 @@ mod tests {
         assert_eq!(e.at, Ps::from_ns(10));
     }
 
+    /// Brute-force reference: walks time one picosecond at a time and
+    /// ticks every enabled domain whose phase lines up, lowest id first.
+    /// `pending_from` is the first domain whose edge at `now` (if any) has
+    /// not been delivered yet.
+    struct Reference {
+        now: u64,
+        pending_from: usize,
+        /// `(period, enabled, anchor, cycles)`: edges fall at
+        /// `anchor + k·period` for `k ≥ 1`.
+        domains: Vec<(u64, bool, u64, u64)>,
+    }
+
+    impl Reference {
+        fn ticks_at(&self, idx: usize, t: u64) -> bool {
+            let (period, enabled, anchor, _) = self.domains[idx];
+            enabled && t > anchor && (t - anchor).is_multiple_of(period)
+        }
+
+        fn next_edge_before(&mut self, deadline: u64) -> Option<(usize, u64, u64)> {
+            let mut t = self.now;
+            while t <= deadline {
+                let from = if t == self.now { self.pending_from } else { 0 };
+                if let Some(idx) = (from..self.domains.len()).find(|&i| self.ticks_at(i, t)) {
+                    self.now = t;
+                    self.pending_from = idx + 1;
+                    self.domains[idx].3 += 1;
+                    return Some((idx, t, self.domains[idx].3));
+                }
+                t += 1;
+            }
+            if deadline > self.now {
+                self.now = deadline;
+                self.pending_from = self.domains.len();
+            }
+            None
+        }
+
+        /// Counts every edge up to `deadline`, those still pending at
+        /// `now` included; a deadline not after `now` is a no-op.
+        fn fast_forward(&mut self, deadline: u64) {
+            if deadline > self.now {
+                while self.next_edge_before(deadline).is_some() {}
+            }
+        }
+
+        fn realign(&mut self, idx: usize) {
+            self.domains[idx].2 = self.now;
+        }
+    }
+
+    #[test]
+    fn scan_matches_brute_force_reference_under_random_ops() {
+        use crate::rng::SplitMix64;
+        // Periods of a few picoseconds keep the brute-force walk cheap.
+        let freq_of = |period: u64| Freq::hz(1_000_000_000_000 / period);
+        for seed in 0..8 {
+            let mut rng = SplitMix64::new(0x5CA1_AB1E ^ seed);
+            let mut sched = ClockScheduler::new();
+            let mut model = Reference {
+                now: 0,
+                pending_from: 0,
+                domains: Vec::new(),
+            };
+            for step in 0..4_000 {
+                match rng.gen_range(0..100) {
+                    0..=4 if model.domains.len() < 6 => {
+                        let period = rng.gen_range(2..13);
+                        assert_eq!(freq_of(period).period().as_ps(), period);
+                        sched.add_domain(freq_of(period));
+                        model.domains.push((period, true, model.now, 0));
+                    }
+                    5..=9 if !model.domains.is_empty() => {
+                        let idx = rng.gen_usize(0..model.domains.len());
+                        let period = rng.gen_range(2..13);
+                        sched.set_frequency(DomainId(idx), freq_of(period));
+                        model.domains[idx].0 = period;
+                        if model.domains[idx].1 {
+                            model.realign(idx);
+                        }
+                    }
+                    10..=17 if !model.domains.is_empty() => {
+                        let idx = rng.gen_usize(0..model.domains.len());
+                        let enabled = rng.gen_bool(0.6);
+                        sched.set_enabled(DomainId(idx), enabled);
+                        if model.domains[idx].1 != enabled {
+                            model.domains[idx].1 = enabled;
+                            model.realign(idx);
+                        }
+                    }
+                    18..=25 => {
+                        // Deadlines reach a little into the past too.
+                        let deadline = (model.now + rng.gen_range(0..40)).saturating_sub(3);
+                        sched.fast_forward(Ps::new(deadline));
+                        model.fast_forward(deadline);
+                    }
+                    26..=28 => {
+                        // Restore rebuilds the cached periods from the
+                        // encoded frequencies.
+                        let mut w = Writer::new();
+                        sched.persist(&mut w);
+                        let bytes = w.into_bytes();
+                        sched = ClockScheduler::restore(&mut Reader::new(&bytes)).unwrap();
+                    }
+                    _ => {
+                        let deadline = (model.now + rng.gen_range(0..30)).saturating_sub(3);
+                        let got = sched
+                            .next_edge_before(Ps::new(deadline))
+                            .map(|e| (e.domain.0, e.at.as_ps(), e.cycle));
+                        assert_eq!(
+                            got,
+                            model.next_edge_before(deadline),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                }
+                assert_eq!(sched.now().as_ps(), model.now, "seed {seed} step {step}");
+                for (idx, d) in model.domains.iter().enumerate() {
+                    assert_eq!(sched.cycles(DomainId(idx)), d.3, "seed {seed} step {step}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn persist_roundtrip_preserves_future_edges() {
         let mut s = ClockScheduler::new();
@@ -510,7 +586,7 @@ mod tests {
         for _ in 0..11 {
             s.next_edge().unwrap();
         }
-        s.set_frequency(a, Freq::mhz(40)); // leaves a stale heap entry
+        s.set_frequency(a, Freq::mhz(40));
         s.set_enabled(c, false);
 
         let mut w = Writer::new();

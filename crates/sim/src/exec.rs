@@ -14,9 +14,9 @@
 //! * sleeping components are *skipped* when their domain's edge arrives,
 //!   and when every component is asleep whole stretches of edges are
 //!   elided with [`ClockScheduler::fast_forward`];
-//! * `IdleUntil` wake-ups ride the [`TimerQueue`], merged with the edge
-//!   stream so a component sleeping until `t` is ticked by the first edge
-//!   at or after `t`;
+//! * an `IdleUntil` wake time is kept on the component itself, and the
+//!   executor caches the earliest one, so a component sleeping until `t`
+//!   is ticked by the first edge at or after `t`;
 //! * external events (a FIFO push from another domain, a DCR write, a
 //!   module install) wake components via [`Executor::wake`] or, from
 //!   inside a tick, via the [`Waker`] handle.
@@ -60,7 +60,6 @@
 //! ```
 
 use crate::clock::{ClockScheduler, DomainId, Edge};
-use crate::event::{TimerId, TimerQueue};
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::time::Ps;
 use crate::trace::{SignalId, Tracer};
@@ -157,8 +156,8 @@ impl ExecStats {
 struct Comp {
     domain: DomainId,
     awake: bool,
-    /// Pending `IdleUntil` timer; `Some` only while asleep.
-    timer: Option<TimerId>,
+    /// Pending `IdleUntil` wake time; `Some` only while asleep.
+    timer: Option<Ps>,
 }
 
 /// Handle through which a component tick wakes *other* components (e.g.
@@ -207,7 +206,8 @@ pub struct Executor {
     domain_comps: Vec<Vec<ComponentId>>,
     awake_per_domain: Vec<usize>,
     awake_total: usize,
-    timers: TimerQueue<ComponentId>,
+    /// Earliest pending wake time over all components, kept exact.
+    next_timer: Option<Ps>,
     stats: ExecStats,
     wake_scratch: Vec<ComponentId>,
     sched_scratch: Vec<(ComponentId, Ps)>,
@@ -271,10 +271,8 @@ impl Executor {
     /// write, module install, …). Cancels a pending `IdleUntil` timer.
     /// Waking an awake component is a no-op; spurious wakes are safe.
     pub fn wake(&mut self, id: ComponentId) {
+        self.cancel_timer(id);
         let comp = &mut self.comps[id.0];
-        if let Some(t) = comp.timer.take() {
-            self.timers.cancel(t);
-        }
         if !comp.awake {
             comp.awake = true;
             self.awake_per_domain[comp.domain.0] += 1;
@@ -288,9 +286,7 @@ impl Executor {
     /// `IdleUntil` timer. The host must [`wake`](Self::wake) it when the
     /// condition changes; sleeping an asleep component is a no-op.
     pub fn sleep_component(&mut self, id: ComponentId) {
-        if let Some(t) = self.comps[id.0].timer.take() {
-            self.timers.cancel(t);
-        }
+        self.cancel_timer(id);
         self.sleep(id, None);
     }
 
@@ -299,21 +295,39 @@ impl Executor {
     /// component — it will tick on its next edge anyway and report fresh
     /// activity then.
     pub fn schedule_wake_at(&mut self, id: ComponentId, at: Ps) {
-        let comp = &mut self.comps[id.0];
-        if comp.awake {
+        if self.comps[id.0].awake {
             return;
         }
-        if let Some(t) = comp.timer.take() {
-            self.timers.cancel(t);
-        }
-        let timer = self.timers.schedule_at(at, id);
-        self.comps[id.0].timer = Some(timer);
+        self.cancel_timer(id);
+        self.set_timer(id, at);
     }
 
-    fn sleep(&mut self, id: ComponentId, timer: Option<TimerId>) {
+    fn set_timer(&mut self, id: ComponentId, at: Ps) {
+        self.comps[id.0].timer = Some(at);
+        if self.next_timer.is_none_or(|t| at < t) {
+            self.next_timer = Some(at);
+        }
+    }
+
+    /// Drops a pending wake time; rescans for the new minimum only when
+    /// the dropped time was the cached one.
+    fn cancel_timer(&mut self, id: ComponentId) {
+        if let Some(t) = self.comps[id.0].timer.take() {
+            if self.next_timer == Some(t) {
+                self.next_timer = self.comps.iter().filter_map(|c| c.timer).min();
+            }
+        }
+    }
+
+    fn sleep(&mut self, id: ComponentId, timer: Option<Ps>) {
+        debug_assert!(
+            self.comps[id.0].timer.is_none(),
+            "awake component had a timer"
+        );
+        if let Some(at) = timer {
+            self.set_timer(id, at);
+        }
         let comp = &mut self.comps[id.0];
-        debug_assert!(comp.timer.is_none(), "awake component had a timer");
-        comp.timer = timer;
         if comp.awake {
             comp.awake = false;
             self.awake_per_domain[comp.domain.0] -= 1;
@@ -417,7 +431,7 @@ impl Executor {
         if now >= deadline {
             return false;
         }
-        match self.timers.next_due() {
+        match self.next_timer {
             Some(t) if t <= deadline => {
                 // Elide edges strictly before t; the edge at t (if any)
                 // must still be delivered to the newly woken components.
@@ -499,26 +513,34 @@ impl Executor {
         match activity {
             Activity::Active => {}
             Activity::Quiescent => self.sleep(id, None),
-            Activity::IdleUntil(t) if t > now => {
-                let timer = self.timers.schedule_at(t, id);
-                self.sleep(id, Some(timer));
-            }
+            Activity::IdleUntil(t) if t > now => self.sleep(id, Some(t)),
             // An idle-until time that is not in the future means "keep
             // ticking me" — equivalent to Active.
             Activity::IdleUntil(_) => {}
         }
     }
 
+    /// Wakes every component whose wake time is due by `now`. Only sets
+    /// awake flags — dispatch follows registration order — so the order
+    /// of this scan is unobservable.
     fn pop_timers(&mut self, now: Ps) {
-        while let Some(id) = self.timers.pop_due(now) {
-            let comp = &mut self.comps[id.0];
-            comp.timer = None;
-            if !comp.awake {
-                comp.awake = true;
-                self.awake_per_domain[comp.domain.0] += 1;
-                self.awake_total += 1;
+        if self.next_timer.is_none_or(|t| t > now) {
+            return;
+        }
+        let mut next = None;
+        for comp in &mut self.comps {
+            match comp.timer {
+                Some(t) if t <= now => {
+                    comp.timer = None;
+                    comp.awake = true;
+                    self.awake_per_domain[comp.domain.0] += 1;
+                    self.awake_total += 1;
+                }
+                Some(t) if next.is_none_or(|n| t < n) => next = Some(t),
+                _ => {}
             }
         }
+        self.next_timer = next;
     }
 }
 
@@ -565,13 +587,12 @@ impl Persist for Executor {
         for c in &self.comps {
             w.put_usize(c.domain.0);
             c.awake.persist(w);
-            c.timer.map(TimerId::raw).persist(w);
+            c.timer.persist(w);
         }
         // `domain_comps` sizing is observable through skip accounting, so
         // the number of domain slots is encoded even though their contents
         // (registration order per domain) are derived from `comps`.
         w.put_usize(self.domain_comps.len());
-        self.timers.persist(w);
         self.stats.persist(w);
         self.trace.as_ref().map(|t| &t.tracer).cloned().persist(w);
         // Scratch vectors are empty between steps and never encoded.
@@ -586,7 +607,7 @@ impl Persist for Executor {
         for _ in 0..n {
             let domain = DomainId(r.take_usize()?);
             let awake = bool::restore(r)?;
-            let timer = Option::<u64>::restore(r)?.map(TimerId::from_raw);
+            let timer = Option::<Ps>::restore(r)?;
             if awake && timer.is_some() {
                 return Err(PersistError::Corrupt("awake component with timer".into()));
             }
@@ -597,7 +618,6 @@ impl Persist for Executor {
             });
         }
         let n_domains = r.take_usize()?;
-        let timers = TimerQueue::restore(r)?;
         let stats = ExecStats::restore(r)?;
         let trace = Option::<Tracer>::restore(r)?
             .map(|tracer| {
@@ -614,20 +634,26 @@ impl Persist for Executor {
             })
             .transpose()?;
 
-        let max_domain = comps.iter().map(|c| c.domain.0 + 1).max().unwrap_or(0);
-        if n_domains < max_domain {
+        // Every domain slot also has a stats slot, so the stats bound the
+        // slot count before anything is allocated for it.
+        if n_domains > stats.domains.len() {
             return Err(PersistError::Corrupt(format!(
-                "component domain {} beyond {} domain slots",
-                max_domain - 1,
-                n_domains
+                "{n_domains} domain slots but {} stats slots",
+                stats.domains.len()
             )));
         }
+        if let Some(d) = comps.iter().map(|c| c.domain.0).find(|&d| d >= n_domains) {
+            return Err(PersistError::Corrupt(format!(
+                "component domain {d} beyond {n_domains} domain slots"
+            )));
+        }
+        let next_timer = comps.iter().filter_map(|c| c.timer).min();
         let mut exec = Executor {
             comps,
             domain_comps: vec![Vec::new(); n_domains],
             awake_per_domain: vec![0; n_domains],
             awake_total: 0,
-            timers,
+            next_timer,
             stats,
             trace,
             ..Executor::default()
@@ -835,6 +861,144 @@ mod tests {
             Activity::Quiescent
         });
         assert_eq!(ticks, 1, "woken component ticked on the next edge");
+    }
+
+    /// Two components in one 100 MHz domain that go to sleep after their
+    /// 10 ns tick with the given wake times.
+    fn two_sleepers(a_at: Ps, b_at: Ps) -> (ClockScheduler, Executor, ComponentId, ComponentId) {
+        let mut clocks = ClockScheduler::new();
+        let clk = clocks.add_domain(Freq::mhz(100));
+        let mut exec = Executor::new();
+        let a = exec.register(clk);
+        let b = exec.register(clk);
+        exec.run_for(&mut clocks, Ps::from_ns(10), |_, id, _| {
+            Activity::IdleUntil(if id == a { a_at } else { b_at })
+        });
+        assert_eq!(exec.next_timer, Some(a_at.min(b_at)));
+        (clocks, exec, a, b)
+    }
+
+    /// Runs to `until` and logs `(component, ns)` per tick; every tick
+    /// reports `Quiescent`.
+    fn tick_log(
+        clocks: &mut ClockScheduler,
+        exec: &mut Executor,
+        until: Ps,
+    ) -> Vec<(ComponentId, u64)> {
+        let mut log = Vec::new();
+        let dur = until - clocks.now();
+        exec.run_for(clocks, dur, |_, id, edge| {
+            log.push((id, edge.at.as_ns()));
+            Activity::Quiescent
+        });
+        log
+    }
+
+    #[test]
+    fn wake_cancels_pending_wake_time() {
+        let (mut clocks, mut exec, a, b) = two_sleepers(Ps::from_ns(40), Ps::from_ns(80));
+        exec.wake(a);
+        assert_eq!(exec.comps[a.0].timer, None);
+        assert_eq!(exec.next_timer, Some(Ps::from_ns(80)), "min recomputed");
+        // a ticks once on the next edge; its cancelled 40 ns wake never
+        // fires.
+        let log = tick_log(&mut clocks, &mut exec, Ps::from_ns(100));
+        assert_eq!(log, vec![(a, 20), (b, 80)]);
+        assert_eq!(exec.next_timer, None);
+    }
+
+    #[test]
+    fn schedule_wake_at_replaces_earlier_or_later_wake_time() {
+        let (mut clocks, mut exec, a, b) = two_sleepers(Ps::from_ns(50), Ps::from_ns(60));
+        // Pull a's wake in, then push it out past b's: each call replaces
+        // the pending time, and moving the earliest one out recomputes
+        // the cached minimum from the remaining wake times.
+        exec.schedule_wake_at(a, Ps::from_ns(30));
+        assert_eq!(exec.next_timer, Some(Ps::from_ns(30)));
+        exec.schedule_wake_at(a, Ps::from_ns(90));
+        assert_eq!(exec.next_timer, Some(Ps::from_ns(60)));
+        // Replacing a wake time that is not the earliest keeps the cache.
+        exec.schedule_wake_at(a, Ps::from_ns(70));
+        assert_eq!(exec.next_timer, Some(Ps::from_ns(60)));
+        let log = tick_log(&mut clocks, &mut exec, Ps::from_ns(100));
+        assert_eq!(log, vec![(b, 60), (a, 70)]);
+    }
+
+    #[test]
+    fn sleep_component_cancels_pending_wake_time() {
+        let (mut clocks, mut exec, a, b) = two_sleepers(Ps::from_ns(40), Ps::from_ns(80));
+        exec.sleep_component(a);
+        assert!(!exec.is_awake(a));
+        assert_eq!(exec.comps[a.0].timer, None);
+        assert_eq!(exec.next_timer, Some(Ps::from_ns(80)));
+        exec.sleep_component(b);
+        assert_eq!(exec.next_timer, None);
+        // Nothing is left to wake anyone: the rest is one fast-forward.
+        let log = tick_log(&mut clocks, &mut exec, Ps::from_ns(100));
+        assert!(log.is_empty());
+        assert_eq!(clocks.now(), Ps::from_ns(100));
+        assert_eq!(exec.stats().total_ticks(), 2);
+    }
+
+    #[test]
+    fn wake_time_on_an_edge_ticks_that_edge_while_peers_run() {
+        // a keeps the domain's edges delivered one by one, so b's wake
+        // times are released on the delivered-edge path, not by a
+        // fast-forward: one exactly on the 50 ns edge, one between edges.
+        let mut clocks = ClockScheduler::new();
+        let clk = clocks.add_domain(Freq::mhz(100));
+        let mut exec = Executor::new();
+        let a = exec.register(clk);
+        exec.register(clk);
+        let mut b_ticks = Vec::new();
+        exec.run_for(&mut clocks, Ps::from_ns(100), |_, id, edge| {
+            if id == a {
+                return Activity::Active;
+            }
+            b_ticks.push(edge.at.as_ns());
+            match edge.at.as_ns() {
+                10 => Activity::IdleUntil(Ps::from_ns(50)),
+                50 => Activity::IdleUntil(Ps::from_ns(75)),
+                _ => Activity::Quiescent,
+            }
+        });
+        assert_eq!(b_ticks, vec![10, 50, 80]);
+        assert_eq!(exec.stats().domain(clk).skips, 10 - 3);
+    }
+
+    #[test]
+    fn persist_roundtrip_keeps_pending_wake_times() {
+        let (mut clocks, exec, a, b) = two_sleepers(Ps::from_ns(40), Ps::from_ns(80));
+        let mut w = Writer::new();
+        exec.persist(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Executor::restore(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored.next_timer, Some(Ps::from_ns(40)));
+        let log = tick_log(&mut clocks, &mut restored, Ps::from_ns(100));
+        assert_eq!(log, vec![(a, 40), (b, 80)]);
+    }
+
+    #[test]
+    fn restore_rejects_wake_time_on_awake_component() {
+        let image = |awake: bool| {
+            let mut w = Writer::new();
+            w.put_usize(1);
+            w.put_usize(0);
+            awake.persist(&mut w);
+            Some(Ps::from_ns(40)).persist(&mut w);
+            w.put_usize(1);
+            ExecStats {
+                domains: vec![DomainStats::default()],
+            }
+            .persist(&mut w);
+            None::<Tracer>.persist(&mut w);
+            w.into_bytes()
+        };
+        assert!(Executor::restore(&mut Reader::new(&image(false))).is_ok());
+        assert!(matches!(
+            Executor::restore(&mut Reader::new(&image(true))),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

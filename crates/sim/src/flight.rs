@@ -510,7 +510,9 @@ impl Persist for FlightRecorder {
         if len > r.remaining() {
             return Err(PersistError::UnexpectedEof);
         }
-        let mut buf = Vec::with_capacity(capacity);
+        // Sized by what the image holds, not by its claimed capacity: the
+        // ring grows to capacity on demand like a fresh one.
+        let mut buf = Vec::with_capacity(len);
         for _ in 0..len {
             let at = Ps::restore(r)?;
             let entry_seq = r.take_u64()?;

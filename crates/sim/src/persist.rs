@@ -37,7 +37,9 @@ pub const MAGIC: [u8; 8] = *b"VAPRESCK";
 /// self-profiler work-unit slot after the time-series sampler.
 /// v4: the ICAP encodes a pushed-word counter, and a staged-bitstream
 /// cache slot follows the self-profiler work units.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the executor encodes each component's pending wake time in place
+/// of timer sequence numbers and a timer queue.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// An error from decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -388,7 +390,13 @@ impl Persist for Freq {
         if hz == 0 {
             return Err(PersistError::Corrupt("zero frequency".into()));
         }
-        Ok(Freq::hz(hz))
+        let freq = Freq::hz(hz);
+        if freq.period() == Ps::ZERO {
+            return Err(PersistError::Corrupt(format!(
+                "{hz} Hz rounds to a zero period"
+            )));
+        }
+        Ok(freq)
     }
 }
 

@@ -20,6 +20,14 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> executor work pin (E3 per-domain ExecStats unchanged)"
+# The scheduler may make a step cheaper, never add or drop one. The grep
+# insists the pin ran, so a renamed test cannot pass this check vacuously.
+cargo test -q --offline -p vapres --test exec_equivalence \
+    executor_stats_pinned_on_e3_switching -- --exact \
+    | grep "test result: ok. 1 passed" >/dev/null \
+    || { echo "E3 executor work differs from its pinned ExecStats" >&2; exit 1; }
+
 echo "==> telemetry smoke test (E3 swap scenario)"
 snap="$(mktemp -d)/swap.jsonl"
 ./target/release/vapres-cli sim --swap yes --metrics "$snap" >/dev/null

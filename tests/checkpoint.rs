@@ -262,6 +262,80 @@ fn restore_rejects_bad_magic_and_truncation() {
     assert!(VapresSystem::restore(SystemConfig::prototype(), library(), truncated).is_err());
 }
 
+/// A small E3 image for the byte-level decoder sweeps: FIR A streaming
+/// on PRR 0 with telemetry, flight recorder and word trace armed, cut
+/// mid sample interval so an executor wake time is pending (the IOM
+/// sleeps until its next inject cycle). The CompactFlash copy of the configured bitstream is
+/// replaced by a stub and no spare is staged, so the image stays a few
+/// KiB instead of carrying whole bitstreams.
+fn small_e3_image() -> Vec<u8> {
+    let mut sys = VapresSystem::new(SystemConfig::prototype(), library()).unwrap();
+    sys.enable_telemetry();
+    sys.enable_flight_recorder(16);
+    sys.enable_word_trace(3);
+    sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
+    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit").unwrap();
+    sys.vapres_cf2icap("fir_a.bit").unwrap();
+    sys.compact_flash_mut().store("fir_a.bit", vec![0xA5; 8]);
+    sys.vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
+        .unwrap();
+    sys.vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
+        .unwrap();
+    sys.bring_up_node(0, false).unwrap();
+    sys.bring_up_node(1, false).unwrap();
+    sys.iom_feed(0, 0..24);
+    // Five and a half sample intervals: the IOM is waiting out the rest
+    // of its sixth.
+    sys.run_for(Ps::from_ns(10 * SAMPLE_INTERVAL * 11 / 2));
+    sys.checkpoint()
+}
+
+/// Restores `bytes` and, when the decoder accepts them, checks the state
+/// is a valid one: it re-encodes to an image that restores to itself.
+fn restore_is_err_or_valid(bytes: &[u8], what: &str) {
+    let Ok(mut sys) = VapresSystem::restore(SystemConfig::prototype(), library(), bytes) else {
+        return;
+    };
+    let image = sys.checkpoint();
+    if image == bytes {
+        return;
+    }
+    let mut again = VapresSystem::restore(SystemConfig::prototype(), library(), &image)
+        .unwrap_or_else(|e| panic!("{what}: accepted state does not re-restore: {e}"));
+    assert_eq!(
+        again.checkpoint(),
+        image,
+        "{what}: re-encoding is not canonical"
+    );
+}
+
+#[test]
+fn restore_rejects_every_truncation_of_an_image_with_pending_wakes() {
+    let bytes = small_e3_image();
+    VapresSystem::restore(SystemConfig::prototype(), library(), &bytes).unwrap();
+    for len in 0..bytes.len() {
+        assert!(
+            VapresSystem::restore(SystemConfig::prototype(), library(), &bytes[..len]).is_err(),
+            "truncation to {len} of {} bytes restored",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn restore_survives_a_bit_flip_at_every_offset_of_an_image_with_pending_wakes() {
+    let bytes = small_e3_image();
+    let mut flipped = bytes.clone();
+    // One flip per byte, the bit position rotating with the offset, so
+    // every field sees flips in its low and high bits alike.
+    for at in 0..bytes.len() {
+        let mask = 1 << (at % 8);
+        flipped[at] ^= mask;
+        restore_is_err_or_valid(&flipped, &format!("byte {at} mask {mask:#04x}"));
+        flipped[at] ^= mask;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fleet-scale golden equivalence: restore ≡ never-stopped for a 3-RSB
 // `MultiRsbSystem`, restored from its own checkpoint envelope.

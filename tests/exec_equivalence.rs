@@ -7,6 +7,8 @@
 //! clock state — must be bit-for-bit identical between the two execution
 //! models. This test runs the full seamless-swap scenario both ways and
 //! compares everything, then checks the executor actually skipped work.
+//! A second test pins the executor's exact per-domain work counters on
+//! the same scenario.
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
@@ -14,6 +16,7 @@ use vapres::core::switching::{seamless_swap, BitstreamSource, SwapSpec};
 use vapres::core::system::VapresSystem;
 use vapres::core::{PortRef, Ps};
 use vapres::modules::{register_standard_modules, uids};
+use vapres::sim::exec::{DomainStats, ExecStats};
 
 /// External ADC sample interval in fabric cycles — slow enough that the
 /// system is mostly idle between samples, which is where the executor's
@@ -70,7 +73,7 @@ struct Trace {
     isolated_writes: u64,
 }
 
-fn run_scenario(dense: bool) -> (Trace, f64) {
+fn run_scenario(dense: bool) -> (Trace, ExecStats) {
     let (mut sys, spec) = fig5_system(dense);
     let input: Vec<u32> = (0..N_SAMPLES).map(|i| (i * 97) % 10_007).collect();
     sys.iom_feed(0, input.iter().copied());
@@ -100,13 +103,14 @@ fn run_scenario(dense: bool) -> (Trace, f64) {
         final_now: sys.now(),
         isolated_writes: sys.isolated_writes(),
     };
-    (trace, sys.exec_stats().tick_reduction())
+    (trace, sys.exec_stats().clone())
 }
 
 #[test]
 fn executor_matches_dense_loop_on_e3_switching() {
     let (dense, _) = run_scenario(true);
-    let (lazy, reduction) = run_scenario(false);
+    let (lazy, stats) = run_scenario(false);
+    let reduction = stats.tick_reduction();
 
     // Identical event order and picosecond timestamps, word for word.
     assert_eq!(dense.output.len(), lazy.output.len());
@@ -130,5 +134,29 @@ fn executor_matches_dense_loop_on_e3_switching() {
     assert!(
         reduction >= 2.0,
         "tick reduction {reduction:.2}x below the 2x floor"
+    );
+}
+
+/// The executor's exact per-domain work on the E3 scenario: static
+/// clock (fabric + IOM), then PRR 0 and PRR 1. Any change to the
+/// scheduler's bookkeeping must leave these untouched — it may make a
+/// step cheaper, never add or drop one.
+#[test]
+fn executor_stats_pinned_on_e3_switching() {
+    let (_, stats) = run_scenario(false);
+    let got: Vec<DomainStats> = stats.domains().map(|(_, s)| *s).collect();
+    let stat = |edges, ff_edges, ticks, skips| DomainStats {
+        edges,
+        ff_edges,
+        ticks,
+        skips,
+    };
+    assert_eq!(
+        got,
+        vec![
+            stat(15_023, 213_371_162, 20_013, 426_752_357),
+            stat(5_042, 7_286_132, 5_037, 7_286_137),
+            stat(9, 156, 9, 156),
+        ]
     );
 }
