@@ -9,12 +9,9 @@
 //! time it hides, and sample loss.
 
 use vapres_bench::{banner, row, rule};
-use vapres_core::config::SystemConfig;
-use vapres_core::module::ModuleLibrary;
-use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
-use vapres_core::system::VapresSystem;
-use vapres_core::{PortRef, Ps};
-use vapres_modules::{register_standard_modules, uids};
+use vapres_core::switching::{halt_and_swap, seamless_swap};
+use vapres_core::Ps;
+use vapres_kpn::e3;
 
 struct Outcome {
     max_gap_us: f64,
@@ -29,41 +26,17 @@ struct Outcome {
 /// Runs one swap experiment. `seamless` selects the methodology;
 /// `interval` is the ADC sample interval in fabric cycles.
 fn run(seamless: bool, interval: u64, samples: usize) -> Outcome {
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).expect("prototype");
+    let mut sys = e3::prototype();
     sys.iom_set_input_interval(0, interval);
 
-    sys.install_bitstream(0, uids::FIR_A, "a.bit")
-        .expect("install a");
-    let b_prr = if seamless { 1 } else { 0 };
-    sys.install_bitstream(b_prr, uids::FIR_B, "b.bit")
-        .expect("install b");
-    sys.vapres_cf2array("b.bit", "b").expect("stage b");
-    sys.vapres_cf2icap("a.bit").expect("load a");
-
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .expect("upstream");
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .expect("downstream");
-    sys.bring_up_node(0, false).expect("iom up");
-    sys.bring_up_node(1, false).expect("prr0 up");
+    let image = if seamless { e3::SEAMLESS } else { e3::HALT };
+    let channels = e3::deploy(&mut sys, &[image], None).expect("E3 arrangement");
 
     let input: Vec<u32> = (0..samples as u32).map(|i| (i * 37) % 9_973).collect();
     sys.iom_feed(0, input.iter().copied());
     sys.run_for(Ps::from_ms(1));
 
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(50),
-    };
+    let spec = e3::swap_spec(channels, 1, 2, image);
     let report = if seamless {
         seamless_swap(&mut sys, &spec).expect("seamless swap")
     } else {

@@ -5,12 +5,15 @@ use std::fmt;
 use std::io::Write;
 use vapres_bitstream::stream::{ModuleUid, PartialBitstream};
 use vapres_bitstream::timing;
+use vapres_core::switching::SwapReport;
+use vapres_core::system::VapresSystem;
 use vapres_fabric::geometry::{ClbRect, Device};
 use vapres_fabric::resources::{ResourceBudget, ResourceKind};
 use vapres_floorplan::planner::{plan, PrrRequest};
 use vapres_floorplan::report::utilization_report;
 use vapres_floorplan::resources::{comm_arch_slices, static_region_slices};
 use vapres_floorplan::sysdef::{generate_mhs, generate_ucf, parse_ucf};
+use vapres_kpn::e3;
 use vapres_stream::params::FabricParams;
 
 /// A command failure (message already formatted for the user).
@@ -523,58 +526,70 @@ fn stage_by_name(name: &str) -> Result<vapres_core::ModuleUid, CmdError> {
     }
 }
 
-/// Builds the paper's E3 scenario on `sys` (Fig. 5): IOM (node 0) →
-/// FIR A (node 1) → IOM, with FIR B staged in SDRAM. For a seamless
-/// swap the FIR B bitstream targets the spare PRR (node 2); for the
-/// halt-and-swap baseline it targets the active PRR (node 1) so the
-/// module is replaced in place. Returns the ready-to-run swap spec.
-fn setup_e3_swap(
-    sys: &mut vapres_core::system::VapresSystem,
-    halt: bool,
-) -> Result<vapres_core::switching::SwapSpec, CmdError> {
-    use vapres_core::switching::{BitstreamSource, SwapSpec};
-    use vapres_core::{PortRef, Ps};
-    use vapres_modules::uids;
+/// The shared body of `vapres health` and `vapres profile`: the paper's
+/// E3 scenario (Fig. 5) on a prototype with telemetry, the flight
+/// recorder and (if `profile`) the profiler armed. FIR B is staged for
+/// the swap `--halt` picks, `--samples` words stream every `--interval`
+/// cycles, FIR B is swapped in after the first millisecond, and the
+/// stream drains. Returns the system, the swap report and the scenario
+/// described in one line.
+fn run_e3_scenario(
+    args: &Args,
+    profile: bool,
+) -> Result<(VapresSystem, SwapReport, String), CmdError> {
+    use vapres_core::switching::{halt_and_swap, seamless_swap};
 
-    let core = |e: vapres_core::ApiError| CmdError(e.to_string());
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-        .map_err(core)?;
-    if halt {
-        sys.install_bitstream(0, uids::FIR_B, "fir_b_prr0.bit")
-            .map_err(core)?;
-        sys.vapres_cf2array("fir_b_prr0.bit", "fir_b")
-            .map_err(core)?;
-    } else {
-        sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-            .map_err(core)?;
-        sys.vapres_cf2array("fir_b_prr1.bit", "fir_b")
-            .map_err(core)?;
+    let halt = args.get_or("halt", "no") == "yes";
+    let samples: u32 = args.get_num("samples", 20_000u32)?;
+    let interval: u64 = args.get_num("interval", 500u64)?;
+    if interval == 0 {
+        return Err(CmdError("--interval must be >= 1".into()));
     }
-    sys.vapres_cf2icap("fir_a_prr0.bit").map_err(core)?;
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .map_err(core)?;
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .map_err(core)?;
-    sys.bring_up_node(0, false).map_err(core)?;
-    sys.bring_up_node(1, false).map_err(core)?;
-    Ok(SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    })
+    let mut sys = e3::prototype();
+    sys.enable_telemetry();
+    if profile {
+        sys.enable_profiling();
+    }
+    sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
+    sys.iom_set_input_interval(0, interval);
+
+    let (method, image) = if halt {
+        ("halt-and-swap", e3::HALT)
+    } else {
+        ("seamless swap", e3::SEAMLESS)
+    };
+    let channels = e3::deploy(&mut sys, &[image], None).map_err(|e| CmdError(e.to_string()))?;
+    sys.iom_feed(0, 0..samples);
+    sys.run_for(vapres_core::Ps::from_ms(1));
+    let spec = e3::swap_spec(channels, 1, 2, image);
+    let report = if halt {
+        halt_and_swap(&mut sys, &spec)
+    } else {
+        seamless_swap(&mut sys, &spec)
+    }
+    .map_err(|e| CmdError(e.to_string()))?;
+    if !e3::drain(&mut sys) {
+        return Err(CmdError(
+            "swap scenario stalled before consuming input".into(),
+        ));
+    }
+    let scenario = format!("E3 ({method}, {samples} samples, 1 per {interval} cycles)");
+    Ok((sys, report, scenario))
+}
+
+/// The swap summary line `sim --swap` and `replay` print.
+fn write_swap_line(out: &mut dyn Write, report: &SwapReport) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "swap       : {} total ({} reconfig, {} state words)",
+        report.total(),
+        report.reconfig.total(),
+        report.state_words
+    )
 }
 
 /// Writes the system's flight ring to `path` as JSON Lines.
-fn write_flight_dump(
-    sys: &mut vapres_core::system::VapresSystem,
-    path: &str,
-) -> Result<(), CmdError> {
+fn write_flight_dump(sys: &mut VapresSystem, path: &str) -> Result<(), CmdError> {
     let mut file = create_output(path)?;
     sys.dump_flight_jsonl(&mut file)
         .and_then(|()| file.flush())
@@ -586,19 +601,23 @@ fn write_flight_dump(
 /// (what remains of the scenario) followed by the raw system snapshot.
 const CKPT_MAGIC: [u8; 8] = *b"VAPRESRP";
 /// Version of the envelope, independent of the snapshot format version.
-/// v2 appends the checkpoint ordinal, so a replay can stamp a `restore`
-/// flight event naming the image it resumed from.
-const CKPT_META_VERSION: u32 = 2;
+/// v3 drops the channel ids (the E3 fixture's fresh ids are fixed) and
+/// the never-written halt-and-swap phase, seals the header with a
+/// checksum, and goes with the SDRAM array rename from `fir_b` to
+/// `fir_b_p{prr}`.
+const CKPT_META_VERSION: u32 = 3;
+
+/// Bytes of the v3 header: magic, version, phase, fail-swap flag,
+/// ordinal, then the FNV-1a checksum of everything before it.
+const CKPT_HEADER_LEN: usize = 8 + 4 + 1 + 1 + 8 + 8;
 
 /// Where the run stood when the checkpoint was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CkptPhase {
     /// A plain pipeline run: nothing left but draining the input.
     NoSwap,
-    /// The E3 swap has not happened yet; replay performs it.
-    PendingSeamless,
-    /// Like [`CkptPhase::PendingSeamless`] but via halt-and-swap.
-    PendingHalt,
+    /// The E3 seamless swap has not happened yet; replay performs it.
+    PendingSwap,
     /// The swap already completed before the checkpoint.
     SwapDone,
 }
@@ -609,9 +628,6 @@ struct CkptMeta {
     phase: CkptPhase,
     /// The run deliberately pointed the swap at a missing SDRAM array.
     fail_swap: bool,
-    /// Channel ids of the E3 stream (only meaningful for pending swaps).
-    upstream: u64,
-    downstream: u64,
     /// Sequence number of the checkpoint within its run (`ckpt_NNNN`);
     /// replay stamps it into the `restore` flight event.
     ordinal: u64,
@@ -619,25 +635,27 @@ struct CkptMeta {
 
 impl CkptMeta {
     fn encode(&self, w: &mut vapres_sim::persist::Writer) {
-        w.put_raw(&CKPT_MAGIC);
-        w.put_u32(CKPT_META_VERSION);
-        w.put_u8(match self.phase {
+        let mut h = vapres_sim::persist::Writer::new();
+        h.put_raw(&CKPT_MAGIC);
+        h.put_u32(CKPT_META_VERSION);
+        h.put_u8(match self.phase {
             CkptPhase::NoSwap => 0,
-            CkptPhase::PendingSeamless => 1,
-            CkptPhase::PendingHalt => 2,
-            CkptPhase::SwapDone => 3,
+            CkptPhase::PendingSwap => 1,
+            CkptPhase::SwapDone => 2,
         });
-        w.put_bool(self.fail_swap);
-        w.put_u64(self.upstream);
-        w.put_u64(self.downstream);
-        w.put_u64(self.ordinal);
+        h.put_bool(self.fail_swap);
+        h.put_u64(self.ordinal);
+        let header = h.into_bytes();
+        w.put_raw(&header);
+        w.put_u64(vapres_sim::persist::fnv1a(&header));
     }
 }
 
 /// Splits a checkpoint file into its driver metadata and the raw system
-/// snapshot bytes.
+/// snapshot bytes. A header that fails its checksum is rejected before
+/// any field is trusted.
 fn parse_checkpoint_file(bytes: &[u8]) -> Result<(CkptMeta, &[u8]), CmdError> {
-    use vapres_sim::persist::Reader;
+    use vapres_sim::persist::{fnv1a, Reader};
     let mut r = Reader::new(bytes);
     let magic = r
         .take_raw(CKPT_MAGIC.len())
@@ -655,23 +673,24 @@ fn parse_checkpoint_file(bytes: &[u8]) -> Result<(CkptMeta, &[u8]), CmdError> {
     }
     let phase = match r.take_u8()? {
         0 => CkptPhase::NoSwap,
-        1 => CkptPhase::PendingSeamless,
-        2 => CkptPhase::PendingHalt,
-        3 => CkptPhase::SwapDone,
+        1 => CkptPhase::PendingSwap,
+        2 => CkptPhase::SwapDone,
         other => return Err(CmdError(format!("corrupt checkpoint: phase byte {other}"))),
     };
     let fail_swap = r.take_bool()?;
-    let upstream = r.take_u64()?;
-    let downstream = r.take_u64()?;
     let ordinal = r.take_u64()?;
+    let sum = r.take_u64()?;
+    if sum != fnv1a(&bytes[..CKPT_HEADER_LEN - 8]) {
+        return Err(CmdError(
+            "corrupt checkpoint: header checksum mismatch".into(),
+        ));
+    }
     let n = r.remaining();
     let image = r.take_raw(n)?;
     Ok((
         CkptMeta {
             phase,
             fail_swap,
-            upstream,
-            downstream,
             ordinal,
         },
         image,
@@ -689,7 +708,7 @@ impl CkptSink<'_> {
     /// Writes one numbered checkpoint file and reports it.
     fn emit(
         &mut self,
-        sys: &mut vapres_core::system::VapresSystem,
+        sys: &mut VapresSystem,
         meta: &CkptMeta,
         out: &mut dyn Write,
     ) -> Result<(), CmdError> {
@@ -713,11 +732,11 @@ impl CkptSink<'_> {
 /// simulated time to emit a checkpoint; stops early once `done` holds at
 /// a slice boundary. Returns whether `done` held on exit.
 fn run_checkpointed(
-    sys: &mut vapres_core::system::VapresSystem,
+    sys: &mut VapresSystem,
     budget: vapres_core::Ps,
     sink: &mut CkptSink<'_>,
     meta: &CkptMeta,
-    done: impl Fn(&vapres_core::system::VapresSystem) -> bool,
+    done: impl Fn(&VapresSystem) -> bool,
     out: &mut dyn Write,
 ) -> Result<bool, CmdError> {
     use vapres_core::Ps;
@@ -739,17 +758,12 @@ fn run_checkpointed(
 /// the scenario, and (optionally) re-judge the watchdog monitors.
 fn replay_from(path: &str, until_breach: bool, out: &mut dyn Write) -> Result<(), CmdError> {
     use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
-    use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::{evaluate_health, ChannelId, HealthPolicy, Ps};
-    use vapres_modules::register_standard_modules;
+    use vapres_core::switching::{seamless_swap, BitstreamSource};
+    use vapres_core::{evaluate_health, HealthPolicy};
 
     let bytes = std::fs::read(path).map_err(|e| read_err(path, e))?;
     let (meta, image) = parse_checkpoint_file(&bytes)?;
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys = VapresSystem::restore(SystemConfig::prototype(), lib, image)
+    let mut sys = VapresSystem::restore(SystemConfig::prototype(), e3::library(), image)
         .map_err(|e| CmdError(format!("{path}: {e}")))?;
     sys.note_flight(vapres_sim::flight::FlightEvent::Restore {
         ordinal: meta.ordinal,
@@ -763,43 +777,24 @@ fn replay_from(path: &str, until_breach: bool, out: &mut dyn Write) -> Result<()
     )?;
 
     let report = match meta.phase {
-        CkptPhase::PendingSeamless | CkptPhase::PendingHalt => {
-            let spec = SwapSpec {
-                active_node: 1,
-                spare_node: 2,
-                source: BitstreamSource::Sdram(if meta.fail_swap {
-                    "nonexistent".into()
-                } else {
-                    "fir_b".into()
-                }),
-                upstream: ChannelId(meta.upstream as usize),
-                downstream: ChannelId(meta.downstream as usize),
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            };
-            let swapped = if meta.phase == CkptPhase::PendingHalt {
-                halt_and_swap(&mut sys, &spec)
-            } else {
-                seamless_swap(&mut sys, &spec)
-            };
-            let report = swapped.map_err(|e| CmdError(format!("swap failed: {e}")))?;
-            writeln!(
-                out,
-                "swap       : {} total ({} reconfig, {} state words)",
-                report.total(),
-                report.reconfig.total(),
-                report.state_words
-            )?;
+        CkptPhase::PendingSwap => {
+            // A pending swap means the image predates every re-route, so
+            // the stream still runs on the fixture's fresh channels.
+            let mut spec = e3::swap_spec(e3::CHANNELS, 1, 2, e3::SEAMLESS);
+            if meta.fail_swap {
+                spec.source = BitstreamSource::Sdram("nonexistent".into());
+            }
+            let report = seamless_swap(&mut sys, &spec)
+                .map_err(|e| CmdError(format!("swap failed: {e}")))?;
+            write_swap_line(out, &report)?;
             Some(report)
         }
         CkptPhase::NoSwap | CkptPhase::SwapDone => None,
     };
 
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    if !done {
+    if !e3::drain(&mut sys) {
         return Err(CmdError("replay stalled before consuming input".into()));
     }
-    sys.run_for(Ps::from_us(100));
     writeln!(out, "samples out: {}", sys.iom_output(0).len())?;
     writeln!(out, "sim time   : {}", sys.now())?;
     if let Some(tput) = sys.iom_gap(0).throughput_per_s() {
@@ -870,13 +865,9 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// checkpointed run may report a slightly later sim time than an
 /// uncheckpointed one; each run is itself fully deterministic.
 pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
     use vapres_core::switching::{seamless_swap, BitstreamSource};
-    use vapres_core::system::VapresSystem;
     use vapres_core::Ps;
     use vapres_kpn::{deploy, map_pipeline, Pipeline};
-    use vapres_modules::register_standard_modules;
 
     if let Some(path) = args.get("restore") {
         // Resuming an existing checkpoint: the snapshot already carries
@@ -909,6 +900,15 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     };
 
     let swap = args.get_or("swap", "no") == "yes";
+    let fail_swap = args.get_or("fail-swap", "no") == "yes";
+    if fail_swap && !swap {
+        return Err(CmdError("--fail-swap needs --swap yes".into()));
+    }
+    if swap && args.get("stages").is_some() {
+        return Err(CmdError(
+            "--stages does not apply to --swap yes (the E3 swap runs fir-a -> fir-b)".into(),
+        ));
+    }
     let samples: u32 = args.get_num("samples", if swap { 20_000 } else { 1_000 })?;
     let interval: u64 = args.get_num("interval", if swap { 500 } else { 1 })?;
     if interval == 0 {
@@ -938,10 +938,7 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         .map(stage_by_name)
         .collect::<Result<Vec<_>, _>>()?;
 
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys =
-        VapresSystem::new(SystemConfig::prototype(), lib).map_err(|e| CmdError(e.to_string()))?;
+    let mut sys = e3::prototype();
     if args.get("vcd").is_some() {
         sys.enable_tracing();
     }
@@ -1000,18 +997,17 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     sys.iom_set_input_interval(0, interval);
 
     if swap {
-        let mut spec = setup_e3_swap(&mut sys, false)?;
-        let fail_swap = args.get_or("fail-swap", "no") == "yes";
+        let channels =
+            e3::deploy(&mut sys, &[e3::SEAMLESS], None).map_err(|e| CmdError(e.to_string()))?;
+        let mut spec = e3::swap_spec(channels, 1, 2, e3::SEAMLESS);
         if fail_swap {
             // A deliberately broken source: the swap dies reconfiguring
             // the spare, exercising the flight-dump-on-failure path.
             spec.source = BitstreamSource::Sdram("nonexistent".into());
         }
         let meta = CkptMeta {
-            phase: CkptPhase::PendingSeamless,
+            phase: CkptPhase::PendingSwap,
             fail_swap,
-            upstream: spec.upstream.0 as u64,
-            downstream: spec.downstream.0 as u64,
             ordinal: 0,
         };
 
@@ -1074,13 +1070,7 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         }
         sys.run_for(Ps::from_us(100));
         writeln!(out, "pipeline   : fir-a -> fir-b (seamless swap)")?;
-        writeln!(
-            out,
-            "swap       : {} total ({} reconfig, {} state words)",
-            report.total(),
-            report.reconfig.total(),
-            report.state_words
-        )?;
+        write_swap_line(out, &report)?;
     } else {
         let pipeline = Pipeline::new(stages);
         let mapping = map_pipeline(sys.config(), &pipeline).map_err(|e| CmdError(e.to_string()))?;
@@ -1095,8 +1085,6 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
                 let meta = CkptMeta {
                     phase: CkptPhase::NoSwap,
                     fail_swap: false,
-                    upstream: 0,
-                    downstream: 0,
                     ordinal: 0,
                 };
                 run_checkpointed(&mut sys, Ps::from_ms(100), sink, &meta, stream_done, out)?
@@ -1288,25 +1276,37 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         let prof = sys.profiler().expect("profiler was enabled above");
         writeln!(out, "\nprofile: top scopes by host self time")?;
         prof.write_top_table(&mut *out, 10)?;
-        if let Some(path) = args.get("flame") {
-            let mut file = create_output(path)?;
-            prof.write_collapsed(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
-            writeln!(out, "wrote {path}: collapsed stacks (flamegraph input)")?;
-        }
-        if let Some(path) = args.get("cost-model") {
-            let mut file = create_output(path)?;
-            model
-                .write_json(&mut file)
-                .and_then(|()| file.flush())
-                .map_err(|e| write_err(path, e))?;
-            writeln!(
-                out,
-                "wrote {path}: cost model ({} components)",
-                model.rows.len()
-            )?;
-        }
+        write_profile_exports(prof, &model, args, out)?;
+    }
+    Ok(())
+}
+
+/// Writes a profiled run's `--flame` collapsed stacks and `--cost-model`
+/// JSON, whichever were asked for.
+fn write_profile_exports(
+    prof: &vapres_core::Profiler,
+    model: &vapres_core::CostModel,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(), CmdError> {
+    if let Some(path) = args.get("flame") {
+        let mut file = create_output(path)?;
+        prof.write_collapsed(&mut file)
+            .and_then(|()| file.flush())
+            .map_err(|e| write_err(path, e))?;
+        writeln!(out, "wrote {path}: collapsed stacks (flamegraph input)")?;
+    }
+    if let Some(path) = args.get("cost-model") {
+        let mut file = create_output(path)?;
+        model
+            .write_json(&mut file)
+            .and_then(|()| file.flush())
+            .map_err(|e| write_err(path, e))?;
+        writeln!(
+            out,
+            "wrote {path}: cost model ({} components)",
+            model.rows.len()
+        )?;
     }
     Ok(())
 }
@@ -1321,50 +1321,9 @@ pub fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// stream-interruption monitors — the command then exits non-zero, so
 /// it doubles as a regression gate for seamlessness.
 pub fn cmd_health(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
-    use vapres_core::switching::{halt_and_swap, seamless_swap};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::{evaluate_health, HealthPolicy, Ps};
-    use vapres_modules::register_standard_modules;
+    use vapres_core::{evaluate_health, HealthPolicy};
 
-    let halt = args.get_or("halt", "no") == "yes";
-    let samples: u32 = args.get_num("samples", 20_000u32)?;
-    let interval: u64 = args.get_num("interval", 500u64)?;
-    if interval == 0 {
-        return Err(CmdError("--interval must be >= 1".into()));
-    }
-
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys =
-        VapresSystem::new(SystemConfig::prototype(), lib).map_err(|e| CmdError(e.to_string()))?;
-    sys.enable_telemetry();
-    sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
-    sys.iom_set_input_interval(0, interval);
-    let spec = setup_e3_swap(&mut sys, halt)?;
-
-    sys.iom_feed(0, 0..samples);
-    sys.run_for(Ps::from_ms(1));
-    let method = if halt {
-        "halt-and-swap"
-    } else {
-        "seamless swap"
-    };
-    let report = if halt {
-        halt_and_swap(&mut sys, &spec)
-    } else {
-        seamless_swap(&mut sys, &spec)
-    }
-    .map_err(|e| CmdError(e.to_string()))?;
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    if !done {
-        return Err(CmdError(
-            "swap scenario stalled before consuming input".into(),
-        ));
-    }
-    sys.run_for(Ps::from_us(100));
-
+    let (mut sys, report, scenario) = run_e3_scenario(args, false)?;
     let jsonl = args.get_or("jsonl", "no") == "yes";
     let health = evaluate_health(&mut sys, &HealthPolicy::e3_seamless(), Some(&report));
     if jsonl {
@@ -1373,10 +1332,7 @@ pub fn cmd_health(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         // one `health` summary line, nothing else on stdout.
         health.write_jsonl(out)?;
     } else {
-        writeln!(
-            out,
-            "scenario: E3 ({method}, {samples} samples, 1 per {interval} cycles)"
-        )?;
+        writeln!(out, "scenario: {scenario}")?;
         health.write_text(out)?;
     }
     if let Some(path) = args.get("flight-dump") {
@@ -1410,95 +1366,24 @@ pub fn cmd_health(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// input); `--cost-model` joins the planes into per-component
 /// `{work_units, host_ns, ns_per_unit}` rows.
 pub fn cmd_profile(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use vapres_core::config::SystemConfig;
-    use vapres_core::module::ModuleLibrary;
-    use vapres_core::switching::{halt_and_swap, seamless_swap};
-    use vapres_core::system::VapresSystem;
-    use vapres_core::Ps;
-    use vapres_modules::register_standard_modules;
-
-    let halt = args.get_or("halt", "no") == "yes";
-    let samples: u32 = args.get_num("samples", 20_000u32)?;
-    let interval: u64 = args.get_num("interval", 500u64)?;
-    if interval == 0 {
-        return Err(CmdError("--interval must be >= 1".into()));
-    }
     let top: usize = args.get_num("top", 10usize)?;
-
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys =
-        VapresSystem::new(SystemConfig::prototype(), lib).map_err(|e| CmdError(e.to_string()))?;
-    sys.enable_telemetry();
-    sys.enable_profiling();
-    sys.enable_flight_recorder(vapres_sim::flight::DEFAULT_CAPACITY);
-    sys.iom_set_input_interval(0, interval);
-    let spec = setup_e3_swap(&mut sys, halt)?;
-
-    sys.iom_feed(0, 0..samples);
-    sys.run_for(Ps::from_ms(1));
-    let report = if halt {
-        halt_and_swap(&mut sys, &spec)
-    } else {
-        seamless_swap(&mut sys, &spec)
-    }
-    .map_err(|e| CmdError(e.to_string()))?;
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    if !done {
-        return Err(CmdError(
-            "swap scenario stalled before consuming input".into(),
-        ));
-    }
-    sys.run_for(Ps::from_us(100));
-
-    let method = if halt {
-        "halt-and-swap"
-    } else {
-        "seamless swap"
-    };
-    writeln!(
-        out,
-        "scenario: E3 ({method}, {samples} samples, 1 per {interval} cycles), \
-         swap {} ",
-        report.total()
-    )?;
+    let (mut sys, report, scenario) = run_e3_scenario(args, true)?;
+    writeln!(out, "scenario: {scenario}, swap {} ", report.total())?;
     let model = sys
         .profile_cost_model()
         .expect("profiler was enabled above");
     sys.note_profile_dump();
-    {
-        let prof = sys.profiler().expect("profiler was enabled above");
-        writeln!(out, "top {top} scopes by host self time:")?;
-        prof.write_top_table(&mut *out, top)?;
-        writeln!(
-            out,
-            "work plane: {} components; host plane: {} scopes, {} completed",
-            prof.work().len(),
-            prof.scope_count(),
-            prof.completed()
-        )?;
-    }
-    if let Some(path) = args.get("flame") {
-        let mut file = create_output(path)?;
-        sys.profiler()
-            .expect("profiler was enabled above")
-            .write_collapsed(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
-        writeln!(out, "wrote {path}: collapsed stacks (flamegraph input)")?;
-    }
-    if let Some(path) = args.get("cost-model") {
-        let mut file = create_output(path)?;
-        model
-            .write_json(&mut file)
-            .and_then(|()| file.flush())
-            .map_err(|e| write_err(path, e))?;
-        writeln!(
-            out,
-            "wrote {path}: cost model ({} components)",
-            model.rows.len()
-        )?;
-    }
+    let prof = sys.profiler().expect("profiler was enabled above");
+    writeln!(out, "top {top} scopes by host self time:")?;
+    prof.write_top_table(&mut *out, top)?;
+    writeln!(
+        out,
+        "work plane: {} components; host plane: {} scopes, {} completed",
+        prof.work().len(),
+        prof.scope_count(),
+        prof.completed()
+    )?;
+    write_profile_exports(prof, &model, args, out)?;
     if let Some(path) = args.get("flight-dump") {
         write_flight_dump(&mut sys, path)?;
         writeln!(out, "wrote {path}: flight ring")?;
@@ -2962,6 +2847,18 @@ mod tests {
         assert!(err.0.contains("cannot combine"), "{}", err.0);
     }
 
+    #[test]
+    fn sim_fail_swap_needs_swap() {
+        let err = run("sim", &["--fail-swap", "yes"]).unwrap_err();
+        assert!(err.0.contains("--swap yes"), "{}", err.0);
+    }
+
+    #[test]
+    fn sim_swap_rejects_stages() {
+        let err = run("sim", &["--swap", "yes", "--stages", "avg"]).unwrap_err();
+        assert!(err.0.contains("--stages"), "{}", err.0);
+    }
+
     /// Strips the machine-dependent host fields from a cost-model JSON,
     /// leaving the deterministic component/work-unit plane.
     fn work_plane_of(json: &str) -> String {
@@ -3056,6 +2953,16 @@ mod tests {
         std::fs::remove_file(&bad).ok();
     }
 
+    /// The entries of `dir`, sorted by path.
+    fn sorted_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn sim_checkpoints_and_replay_finishes_the_scenario() {
         let dir = std::env::temp_dir().join("vapres_cli_ckpt_test");
@@ -3078,11 +2985,7 @@ mod tests {
         assert!(text.contains("checkpoint "), "{text}");
         assert!(text.contains("samples out: 2001"), "{text}");
 
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        let files = sorted_files(&dir);
         assert!(files.len() >= 2, "expected several checkpoints: {files:?}");
 
         // The first checkpoint predates the swap: replay performs it and
@@ -3138,15 +3041,60 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("swap failed"), "{}", err.0);
 
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        let files = sorted_files(&dir);
         let first = files.first().expect("pre-swap checkpoints exist");
         let err = run("replay", &[first.to_str().unwrap()]).unwrap_err();
         assert!(err.0.contains("swap failed"), "{}", err.0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_header_rejects_every_truncation_and_bit_flip() {
+        use vapres_sim::persist::Writer;
+        let meta = CkptMeta {
+            phase: CkptPhase::PendingSwap,
+            fail_swap: true,
+            ordinal: 7,
+        };
+        let mut w = Writer::new();
+        meta.encode(&mut w);
+        w.put_raw(b"image");
+        let bytes = w.into_bytes();
+        let (parsed, image) = parse_checkpoint_file(&bytes).unwrap();
+        assert_eq!(
+            (parsed.phase, parsed.fail_swap, parsed.ordinal),
+            (CkptPhase::PendingSwap, true, 7)
+        );
+        assert_eq!(image, b"image");
+
+        for len in 0..CKPT_HEADER_LEN {
+            assert!(
+                parse_checkpoint_file(&bytes[..len]).is_err(),
+                "cut at {len}"
+            );
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..CKPT_HEADER_LEN {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    parse_checkpoint_file(&flipped).is_err(),
+                    "byte {at} bit {bit}"
+                );
+                flipped[at] ^= 1 << bit;
+            }
+        }
+
+        // A v2 header is turned away by its version field alone.
+        let mut v2 = bytes.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = parse_checkpoint_file(&v2).unwrap_err();
+        assert!(
+            err.0
+                .contains("meta version 2 unsupported (this build reads 3)"),
+            "{}",
+            err.0
+        );
     }
 
     #[test]
@@ -3459,21 +3407,15 @@ mod tests {
         // itself holds the ring up to (and including) its own cut — the
         // cut is the newest entry, so eviction can't have dropped it.
         // Restore + replay then stamp their events on top of it.
-        let mut files: Vec<_> = std::fs::read_dir(&ckpts)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        let files = sorted_files(&ckpts);
         assert!(files.len() >= 2, "expected several checkpoints: {files:?}");
         for (i, path) in files.iter().enumerate() {
             let bytes = std::fs::read(path).unwrap();
             let (meta, image) = parse_checkpoint_file(&bytes).unwrap();
             assert_eq!(meta.ordinal, i as u64, "{path:?}");
-            let mut lib = vapres_core::module::ModuleLibrary::new();
-            vapres_modules::register_standard_modules(&mut lib, 0);
-            let mut sys = vapres_core::system::VapresSystem::restore(
+            let mut sys = VapresSystem::restore(
                 vapres_core::config::SystemConfig::prototype(),
-                lib,
+                e3::library(),
                 image,
             )
             .unwrap();
@@ -3669,8 +3611,9 @@ mod tests {
 
     #[test]
     fn fleet_exits_nonzero_when_a_swap_fails() {
-        use vapres_core::switching::{seamless_swap, BitstreamSource, SwapSpec};
-        use vapres_core::{ChannelId, ModuleLibrary, Ps, SystemConfig, VapresSystem};
+        use vapres_core::switching::seamless_swap;
+        use vapres_core::{ModuleLibrary, SystemConfig, VapresSystem};
+        use vapres_kpn::e3;
 
         let spec = vapres_kpn::FleetSpec {
             rsbs: 3,
@@ -3686,19 +3629,8 @@ mod tests {
         // does (its channels do not exist) and record it against RSB 1
         // the way the fleet schedule records its swap errors.
         let mut sys = VapresSystem::new(SystemConfig::prototype(), ModuleLibrary::new()).unwrap();
-        let err = seamless_swap(
-            &mut sys,
-            &SwapSpec {
-                active_node: 1,
-                spare_node: 2,
-                source: BitstreamSource::Sdram("fir_b_p1".into()),
-                upstream: ChannelId(0),
-                downstream: ChannelId(1),
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            },
-        )
-        .unwrap_err();
+        let err =
+            seamless_swap(&mut sys, &e3::swap_spec(e3::CHANNELS, 1, 2, e3::SEAMLESS)).unwrap_err();
         result.rows[1].outcome = format!("swap 1: {err}");
         let verdict = fleet_verdict(&result).unwrap_err();
         assert_eq!(verdict.0, "swap failed on RSB(s) [1]");

@@ -366,6 +366,54 @@ mod tests {
         assert!(matches!(err, PersistError::BadMagic), "{err:?}");
     }
 
+    /// The envelope framing under corruption: every cut through the
+    /// header or a length prefix, an inflated RSB count and inflated
+    /// length prefixes all return `Err`. A decoder that allocated by a
+    /// claimed length would abort on the 2^40 and `u64::MAX` claims.
+    #[test]
+    fn fleet_restore_rejects_corrupt_framing() {
+        let image = multi().checkpoint();
+        let restore = |bytes: &[u8]| {
+            let configs = vec![SystemConfig::prototype(), SystemConfig::prototype()];
+            MultiRsbSystem::restore(configs, register, bytes)
+        };
+        let u64_at = |bytes: &[u8], at: usize| {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+        };
+        restore(&image).expect("intact envelope restores");
+
+        // Magic (8) + version (4) + RSB count (8), then one 8-byte length
+        // prefix ahead of each RSB's image.
+        let mut prefixes = Vec::new();
+        let mut at = 20;
+        while at < image.len() {
+            prefixes.push(at);
+            at += 8 + u64_at(&image, at) as usize;
+        }
+        assert_eq!((prefixes.len(), at), (2, image.len()));
+
+        let mut cuts: Vec<usize> = (0..20).collect();
+        for &p in &prefixes {
+            cuts.extend(p..=p + 8);
+        }
+        for cut in cuts {
+            assert!(restore(&image[..cut]).is_err(), "cut at {cut}");
+        }
+        for count in [3, 1 << 40, u64::MAX] {
+            let mut bad = image.clone();
+            bad[12..20].copy_from_slice(&count.to_le_bytes());
+            let err = restore(&bad).expect_err("inflated count");
+            assert!(matches!(err, PersistError::Corrupt(_)), "{count}: {err:?}");
+        }
+        for &p in &prefixes {
+            for claim in [u64_at(&image, p) + 1, 1 << 40, u64::MAX] {
+                let mut bad = image.clone();
+                bad[p..p + 8].copy_from_slice(&claim.to_le_bytes());
+                assert!(restore(&bad).is_err(), "prefix at {p} claims {claim}");
+            }
+        }
+    }
+
     #[test]
     fn reconfig_on_one_rsb_does_not_stall_the_other() {
         let mut m = multi();

@@ -20,21 +20,23 @@
 //!
 //! # Warm-start interplay
 //!
-//! [`run_fleet_from`] resumes a fleet from a
-//! `MultiRsbSystem::checkpoint` envelope. Because restore ≡
+//! [`run_fleet_from`] resumes a fleet from the post-setup envelope
+//! [`checkpoint_after_setup`] writes. Because restore ≡
 //! never-stopped holds per RSB, a fleet checkpointed after setup
 //! finishes bit-identically to a cold run — the §4h warm-start contract
 //! lifted to fleets.
 
 use vapres_core::module::ModuleLibrary;
 use vapres_core::scenario::scenario_seed;
-use vapres_core::switching::{seamless_swap, BitstreamSource, SwapSpec};
+use vapres_core::switching::seamless_swap;
 use vapres_core::system::VapresSystem;
 use vapres_core::{
-    evaluate_health, ChannelId, CostModel, HealthPolicy, MultiRsbSystem, PortRef, Ps, SplitMix64,
+    evaluate_health, ChannelId, CostModel, HealthPolicy, MultiRsbSystem, Ps, SplitMix64,
     SystemConfig, Telemetry,
 };
-use vapres_modules::{register_standard_modules, uids};
+use vapres_modules::register_standard_modules;
+
+use crate::e3;
 
 /// Every Nth streamed word carries a provenance tag (matches the E3
 /// sweep runner's cadence).
@@ -213,9 +215,11 @@ pub fn checkpoint_after_setup(spec: &FleetSpec, _jobs: usize) -> Result<Vec<u8>,
     Ok(fleet.checkpoint())
 }
 
-/// Resumes a fleet from a checkpoint envelope (taken by
-/// [`checkpoint_after_setup`] or any `MultiRsbSystem::checkpoint`) and
-/// runs the remaining schedule. `jobs` and `model` are ignored; kept
+/// Resumes a fleet from the envelope [`checkpoint_after_setup`] cuts and
+/// runs the remaining schedule. The schedule rebuilds every RSB's swap
+/// channels from the fixture's fresh ids ([`e3::CHANNELS`]), so only an
+/// image taken right after setup resumes correctly; an image cut after
+/// any swap has re-routed the channels. `jobs` and `model` are ignored; kept
 /// for the frozen benchmark harness.
 ///
 /// # Errors
@@ -230,17 +234,17 @@ pub fn run_fleet_from(
     spec.validate()?;
     let mut fleet = MultiRsbSystem::restore(fleet_configs(spec.rsbs), fleet_register, image)
         .map_err(|e| e.to_string())?;
-    // The setup phase established the loopback routes; their ids are
-    // deterministic (first two channels of each RSB), so the resumed
-    // schedule reconstructs them rather than carrying them in-band.
-    let channels = vec![(ChannelId(0), ChannelId(1)); spec.rsbs];
+    // The image was cut right after setup, so every RSB still holds the
+    // fixture's fresh channel ids.
+    let channels = vec![e3::CHANNELS; spec.rsbs];
     let outcomes = drive(&mut fleet, spec, channels);
     Ok(harvest(&mut fleet, spec, outcomes))
 }
 
 /// Phase 1 — bring-up: every RSB gets the E3 arrangement (FIR A live on
-/// PRR 0, FIR B staged in SDRAM for the spare, loopback channels) plus
-/// its heterogeneous input stream and observability. Returns each RSB's
+/// PRR 0, FIR B staged in SDRAM for the spare and FIR A for the way
+/// back, so the rotating schedule can revisit an RSB) plus its
+/// heterogeneous input stream and observability. Returns each RSB's
 /// (upstream, downstream) channel ids for the swap schedule.
 fn setup(fleet: &mut MultiRsbSystem, spec: &FleetSpec) -> Vec<(ChannelId, ChannelId)> {
     (0..spec.rsbs)
@@ -255,35 +259,13 @@ fn setup(fleet: &mut MultiRsbSystem, spec: &FleetSpec) -> Vec<(ChannelId, Channe
                     sys.enable_timeseries(every, vapres_core::TimeSeries::DEFAULT_CAPACITY);
                 }
                 sys.iom_set_input_interval(0, interval);
-                let channels = setup_rsb(sys).expect("prototype E3 arrangement deploys");
+                let channels = e3::deploy(sys, &[e3::SEAMLESS, e3::FIR_A_HOME], None)
+                    .expect("prototype E3 arrangement deploys");
                 sys.iom_feed(0, 0..samples);
                 channels
             })
         })
         .collect()
-}
-
-/// One RSB's E3-style deployment. FIR A runs on PRR 0 (node 1); FIR B
-/// is staged in SDRAM for the seamless spare (PRR 1) and FIR A for the
-/// way back, so the rotating schedule can revisit an RSB. Returns the
-/// (upstream, downstream) channel ids the swap spec references.
-fn setup_rsb(sys: &mut VapresSystem) -> Result<(ChannelId, ChannelId), vapres_core::ApiError> {
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit")?;
-    let fir_b_p1 = sys.bitstream_for(1, uids::FIR_B)?.to_bytes();
-    sys.cf_store_raw("fir_b_p1.bit", fir_b_p1);
-    sys.vapres_cf2array("fir_b_p1.bit", "fir_b_p1")?;
-    let fir_a_p0 = sys.bitstream_for(0, uids::FIR_A)?.to_bytes();
-    sys.cf_store_raw("fir_a_p0.bit", fir_a_p0);
-    sys.vapres_cf2array("fir_a_p0.bit", "fir_a_p0")?;
-    sys.vapres_cf2icap("fir_a.bit")?;
-    let upstream = sys.vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))?;
-    let downstream = sys.vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))?;
-    // The restore path reconstructs these ids instead of persisting
-    // them; keep that assumption honest.
-    debug_assert_eq!((upstream, downstream), (ChannelId(0), ChannelId(1)));
-    sys.bring_up_node(0, false)?;
-    sys.bring_up_node(1, false)?;
-    Ok((upstream, downstream))
 }
 
 /// Phase 2 — the rotating swap schedule, then the drain. Returns each
@@ -316,24 +298,12 @@ fn drive(
         let (samples, _) = spec.workload(rsb);
         fleet.with_rsb(rsb, |sys| sys.iom_feed(0, 0..samples));
         fleet.run_for(Ps::from_us(20));
-        let (upstream, downstream) = channels[rsb];
-        let swapped = fleet.with_rsb(rsb, |sys| {
-            let (active, spare, array) = if back {
-                (2, 1, "fir_a_p0")
-            } else {
-                (1, 2, "fir_b_p1")
-            };
-            let spec = SwapSpec {
-                active_node: active,
-                spare_node: spare,
-                source: BitstreamSource::Sdram(array.into()),
-                upstream,
-                downstream,
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            };
-            seamless_swap(sys, &spec)
-        });
+        let spec = if back {
+            e3::swap_spec(channels[rsb], 2, 1, e3::FIR_A_HOME)
+        } else {
+            e3::swap_spec(channels[rsb], 1, 2, e3::SEAMLESS)
+        };
+        let swapped = fleet.with_rsb(rsb, |sys| seamless_swap(sys, &spec));
         match swapped {
             Ok(report) => channels[rsb] = (report.upstream, report.downstream),
             Err(e) => {

@@ -11,6 +11,8 @@
 //!   teardown;
 //! * [`mod@reference`] — the software golden-model executor that E8 checks
 //!   hardware output against;
+//! * [`e3`] — the paper's Fig. 5 arrangement (FIR A live, FIR B staged)
+//!   as the one fixture every E3 scenario deploys;
 //! * [`sweep`] — the concrete E3 scenario runner behind `vapres sweep`
 //!   (the batch engine itself lives in `vapres_core::scenario`).
 //!
@@ -51,6 +53,7 @@
 //! ```
 
 pub mod dot;
+pub mod e3;
 pub mod fleet;
 pub mod graph;
 pub mod pipeline;

@@ -29,12 +29,12 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use vapres_core::module::ModuleLibrary;
 use vapres_core::scenario::{Scenario, ScenarioResult, ScenarioSummary, SwapMethod, SwapOutcome};
-use vapres_core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres_core::switching::{halt_and_swap, seamless_swap};
 use vapres_core::system::VapresSystem;
-use vapres_core::{ApiError, ChannelId, CostModel, PortRef, Ps, SplitMix64, TimeSeries};
-use vapres_modules::{register_standard_modules, uids};
+use vapres_core::{ChannelId, CostModel, Ps, SplitMix64, TimeSeries};
+
+use crate::e3;
 
 /// Every Nth streamed word carries a provenance tag (enough tags for
 /// stable p50/p95/p99 without tracing every word).
@@ -44,9 +44,6 @@ const TRACE_EVERY: u32 = 7;
 /// sync/header region — so an injected fault deterministically trips the
 /// ICAP's validation instead of landing silently in frame payload.
 const FAULT_WINDOW_BYTES: usize = 32;
-
-/// Simulated time budget for draining the input after the swap.
-const DRAIN_BUDGET: Ps = Ps::from_ms(300);
 
 /// What the suffix needs from a completed prefix: the two channel ids
 /// the swap spec references, or the setup failure message.
@@ -118,13 +115,6 @@ pub fn clear_prefix_cache() {
     prefix_cache().lock().expect("prefix cache lock").clear();
 }
 
-/// The standard module library every scenario system uses.
-fn scenario_library() -> ModuleLibrary {
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    lib
-}
-
 /// Builds the shared pre-swap prefix: fresh system, E3 deployment, the
 /// stream's first millisecond. Pure in the scenario (modulo the prefix
 /// key: scenarios with equal keys get bit-identical results).
@@ -133,7 +123,7 @@ fn build_prefix(
     sample_every: Option<Ps>,
     profile: bool,
 ) -> (VapresSystem, PrefixSetup) {
-    let mut sys = VapresSystem::new(sc.system_config(), scenario_library())
+    let mut sys = VapresSystem::new(sc.system_config(), e3::library())
         .expect("scenario config was validated before dispatch");
     sys.enable_telemetry();
     if profile {
@@ -148,8 +138,14 @@ fn build_prefix(
     sys.enable_word_trace(TRACE_EVERY);
     sys.iom_set_input_interval(0, sc.interval);
 
+    // FIR B is staged for both swap targets, corrupted with probability
+    // `fault_rate` (the same bit in both images, so the prefix is
+    // agnostic to which swap method the suffix will pick).
     let mut rng = SplitMix64::new(sc.seed);
-    let setup = setup_e3(&mut sys, sc, &mut rng).map_err(|e| e.to_string());
+    let fault_bit = (sc.fault_rate > 0.0 && rng.gen_bool(sc.fault_rate))
+        .then(|| rng.gen_usize(0..FAULT_WINDOW_BYTES * 8));
+    let setup =
+        e3::deploy(&mut sys, &[e3::HALT, e3::SEAMLESS], fault_bit).map_err(|e| e.to_string());
     if setup.is_ok() {
         sys.iom_feed(0, 0..sc.samples);
         sys.run_for(Ps::from_ms(1));
@@ -227,7 +223,7 @@ fn run_warm(
             setup,
         }
     });
-    let sys = VapresSystem::restore(sc.system_config(), scenario_library(), &entry.bytes)
+    let sys = VapresSystem::restore(sc.system_config(), e3::library(), &entry.bytes)
         .expect("a prefix snapshot restores into its own configuration");
     finish_scenario(sys, sc, entry.setup.clone())
 }
@@ -255,26 +251,18 @@ fn finish_scenario(
             },
             true,
         ),
-        Ok((upstream, downstream)) => match sc.swap {
+        Ok(channels) => match sc.swap {
             SwapMethod::None => (SwapOutcome::NotRequested, false),
             method => {
                 // Halt reconfigures PRR 0 in place; seamless lands FIR B
                 // in the spare PRR 1. Both images were staged during the
                 // prefix, so the suffix just picks the right array.
-                let array = if method == SwapMethod::Halt {
-                    "fir_b_p0"
+                let image = if method == SwapMethod::Halt {
+                    e3::HALT
                 } else {
-                    "fir_b_p1"
+                    e3::SEAMLESS
                 };
-                let spec = SwapSpec {
-                    active_node: 1,
-                    spare_node: 2,
-                    source: BitstreamSource::Sdram(array.into()),
-                    upstream,
-                    downstream,
-                    clk_sel: false,
-                    timeout: Ps::from_ms(10),
-                };
+                let spec = e3::swap_spec(channels, 1, 2, image);
                 let swapped = if method == SwapMethod::Halt {
                     halt_and_swap(&mut sys, &spec)
                 } else {
@@ -306,9 +294,7 @@ fn finish_scenario(
         sys.run_for(Ps::from_ms(1));
         sys.iom_pending_input(0) == 0
     } else {
-        let done = sys.run_until(DRAIN_BUDGET, |s| s.iom_pending_input(0) == 0);
-        sys.run_for(Ps::from_us(100));
-        done
+        e3::drain(&mut sys)
     };
 
     let samples_out = sys.iom_output(0).len() as u64;
@@ -324,10 +310,10 @@ fn finish_scenario(
     let repeat_swap = if sc.bitstream_cache > 0 && !swap_failed {
         sys.isolate_node(2)
             .ok()
-            .and_then(|()| sys.vapres_cf2icap("fir_b_p1.bit").ok())
+            .and_then(|()| sys.vapres_cf2icap(&e3::file_name(e3::SEAMLESS)).ok())
             .and_then(|cold| {
                 sys.isolate_node(2).ok()?;
-                let warm = sys.vapres_cf2icap("fir_b_p1.bit").ok()?;
+                let warm = sys.vapres_cf2icap(&e3::file_name(e3::SEAMLESS)).ok()?;
                 Some((cold.total().as_ps(), warm.total().as_ps()))
             })
     } else {
@@ -358,45 +344,34 @@ fn finish_scenario(
     )
 }
 
-/// Deploys the E3 arrangement and stages FIR B for **both** swap targets
-/// (corrupted with probability [`Scenario::fault_rate`] — the same bit in
-/// both images, off one RNG draw sequence, so the prefix is agnostic to
-/// which swap method the suffix will pick). Returns the channel ids the
-/// swap spec references.
-fn setup_e3(
-    sys: &mut VapresSystem,
-    sc: &Scenario,
-    rng: &mut SplitMix64,
-) -> Result<(ChannelId, ChannelId), ApiError> {
-    // FIR A runs on PRR 0 (node 1). FIR B is staged for PRR 0 (the
-    // halt-and-swap in-place target) and PRR 1 (the seamless spare).
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit")?;
-
-    let mut fir_b_p0 = sys.bitstream_for(0, uids::FIR_B)?.to_bytes();
-    let mut fir_b_p1 = sys.bitstream_for(1, uids::FIR_B)?.to_bytes();
-    if sc.fault_rate > 0.0 && rng.gen_bool(sc.fault_rate) {
-        let window = FAULT_WINDOW_BYTES.min(fir_b_p0.len()).min(fir_b_p1.len());
-        let bit = rng.gen_usize(0..window * 8);
-        fir_b_p0[bit / 8] ^= 1 << (bit % 8);
-        fir_b_p1[bit / 8] ^= 1 << (bit % 8);
-    }
-    sys.cf_store_raw("fir_b_p0.bit", fir_b_p0);
-    sys.vapres_cf2array("fir_b_p0.bit", "fir_b_p0")?;
-    sys.cf_store_raw("fir_b_p1.bit", fir_b_p1);
-    sys.vapres_cf2array("fir_b_p1.bit", "fir_b_p1")?;
-
-    sys.vapres_cf2icap("fir_a.bit")?;
-    let upstream = sys.vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))?;
-    let downstream = sys.vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))?;
-    sys.bring_up_node(0, false)?;
-    sys.bring_up_node(1, false)?;
-    Ok((upstream, downstream))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vapres_core::scenario::{merge_telemetry, run_sweep_with, SweepGrid};
+
+    /// A small E3 grid: kr = kl = 2, 512-word FIFOs, 100 MHz, no faults,
+    /// cache off, 300 samples every 50 cycles.
+    fn small_grid(swap: Vec<SwapMethod>, seed: u64) -> SweepGrid {
+        SweepGrid {
+            kr: vec![2],
+            kl: vec![2],
+            fifo_depth: vec![512],
+            prr_clock_mhz: vec![100],
+            swap,
+            fault_rate: vec![0.0],
+            samples: vec![300],
+            bitstream_cache: vec![0],
+            interval: 50,
+            seed,
+        }
+    }
+
+    /// The results' telemetry merged in scenario order, as JSONL.
+    fn merged_jsonl(rs: &[ScenarioResult]) -> String {
+        let mut out = Vec::new();
+        merge_telemetry(rs).write_jsonl(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
 
     fn tiny(swap: SwapMethod, fault_rate: f64, seed: u64) -> Scenario {
         let sc = Scenario {
@@ -465,26 +440,17 @@ mod tests {
     #[test]
     fn runner_is_deterministic_across_job_counts() {
         let grid = SweepGrid {
-            kr: vec![2],
-            kl: vec![2],
-            fifo_depth: vec![512],
-            prr_clock_mhz: vec![100],
-            swap: vec![SwapMethod::None, SwapMethod::Seamless],
             fault_rate: vec![0.0, 1.0],
-            samples: vec![300],
-            bitstream_cache: vec![0],
-            interval: 50,
-            seed: 99,
+            ..small_grid(vec![SwapMethod::None, SwapMethod::Seamless], 99)
         };
         let scenarios = grid.expand();
         let a = run_sweep_with(&scenarios, 1, run_scenario);
         let b = run_sweep_with(&scenarios, 4, run_scenario);
-        let jsonl = |rs: &[ScenarioResult]| {
-            let mut out = Vec::new();
-            merge_telemetry(rs).write_jsonl(&mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        };
-        assert_eq!(jsonl(&a), jsonl(&b), "merged registries are byte-identical");
+        assert_eq!(
+            merged_jsonl(&a),
+            merged_jsonl(&b),
+            "merged registries are byte-identical"
+        );
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.summary, y.summary, "scenario {}", x.scenario.index);
         }
@@ -494,26 +460,20 @@ mod tests {
     fn warm_start_matches_the_cold_path_byte_for_byte() {
         clear_prefix_cache();
         let grid = SweepGrid {
-            kr: vec![2],
             kl: vec![2, 3],
-            fifo_depth: vec![512],
-            prr_clock_mhz: vec![100],
-            swap: vec![SwapMethod::None, SwapMethod::Seamless, SwapMethod::Halt],
-            fault_rate: vec![0.0],
-            samples: vec![300],
-            bitstream_cache: vec![0],
-            interval: 50,
-            seed: 0xE3,
+            ..small_grid(
+                vec![SwapMethod::None, SwapMethod::Seamless, SwapMethod::Halt],
+                0xE3,
+            )
         };
         let scenarios = grid.expand();
         let cold = run_sweep_with(&scenarios, 1, run_scenario_cold);
         let warm = run_sweep_with(&scenarios, 2, run_scenario);
-        let jsonl = |rs: &[ScenarioResult]| {
-            let mut out = Vec::new();
-            merge_telemetry(rs).write_jsonl(&mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        };
-        assert_eq!(jsonl(&cold), jsonl(&warm), "warm-start changed telemetry");
+        assert_eq!(
+            merged_jsonl(&cold),
+            merged_jsonl(&warm),
+            "warm-start changed telemetry"
+        );
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.summary, w.summary, "scenario {}", c.scenario.index);
         }
@@ -567,34 +527,21 @@ mod tests {
     fn cached_sweep_is_jobs_invariant_warm_cold_identical_and_10x() {
         clear_prefix_cache();
         let grid = SweepGrid {
-            kr: vec![2],
-            kl: vec![2],
-            fifo_depth: vec![512],
-            prr_clock_mhz: vec![100],
-            swap: vec![SwapMethod::Seamless, SwapMethod::Halt],
-            fault_rate: vec![0.0],
-            samples: vec![300],
             bitstream_cache: vec![0, 4],
-            interval: 50,
-            seed: 0xCA,
+            ..small_grid(vec![SwapMethod::Seamless, SwapMethod::Halt], 0xCA)
         };
         let scenarios = grid.expand();
-        let jsonl = |rs: &[ScenarioResult]| {
-            let mut out = Vec::new();
-            merge_telemetry(rs).write_jsonl(&mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        };
         let seq = run_sweep_with(&scenarios, 1, run_scenario);
         let par = run_sweep_with(&scenarios, 4, run_scenario);
         assert_eq!(
-            jsonl(&seq),
-            jsonl(&par),
+            merged_jsonl(&seq),
+            merged_jsonl(&par),
             "cached sweep must be jobs-invariant"
         );
         let cold = run_sweep_with(&scenarios, 1, run_scenario_cold);
         assert_eq!(
-            jsonl(&seq),
-            jsonl(&cold),
+            merged_jsonl(&seq),
+            merged_jsonl(&cold),
             "warm-start changed a cached sweep"
         );
         for ((a, b), c) in seq.iter().zip(&par).zip(&cold) {
@@ -668,18 +615,10 @@ mod tests {
     #[test]
     fn profiled_work_plane_is_jobs_invariant_and_warm_cold_identical() {
         clear_prefix_cache();
-        let grid = SweepGrid {
-            kr: vec![2],
-            kl: vec![2],
-            fifo_depth: vec![512],
-            prr_clock_mhz: vec![100],
-            swap: vec![SwapMethod::None, SwapMethod::Seamless, SwapMethod::Halt],
-            fault_rate: vec![0.0],
-            samples: vec![300],
-            bitstream_cache: vec![0],
-            interval: 50,
-            seed: 0xE3,
-        };
+        let grid = small_grid(
+            vec![SwapMethod::None, SwapMethod::Seamless, SwapMethod::Halt],
+            0xE3,
+        );
         let scenarios = grid.expand();
         let seq = work_plane_jsonl(&scenarios, 1, false);
         let par = work_plane_jsonl(&scenarios, 4, false);
@@ -704,18 +643,7 @@ mod tests {
     #[test]
     fn sampled_series_is_jobs_invariant_and_warm_cold_identical() {
         clear_prefix_cache();
-        let grid = SweepGrid {
-            kr: vec![2],
-            kl: vec![2],
-            fifo_depth: vec![512],
-            prr_clock_mhz: vec![100],
-            swap: vec![SwapMethod::None, SwapMethod::Seamless],
-            fault_rate: vec![0.0],
-            samples: vec![300],
-            bitstream_cache: vec![0],
-            interval: 50,
-            seed: 11,
-        };
+        let grid = small_grid(vec![SwapMethod::None, SwapMethod::Seamless], 11);
         let scenarios = grid.expand();
         let seq = sampled_jsonl(&scenarios, 1, false);
         let par = sampled_jsonl(&scenarios, 4, false);

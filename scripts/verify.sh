@@ -28,6 +28,29 @@ cargo test -q --offline -p vapres --test exec_equivalence \
     | grep "test result: ok. 1 passed" >/dev/null \
     || { echo "E3 executor work differs from its pinned ExecStats" >&2; exit 1; }
 
+echo "==> CLI E3 goldens (health, halt health, sim --swap, replay: byte for byte)"
+golddir="$(mktemp -d)"
+vapres_cli="$PWD/target/release/vapres-cli"
+"$vapres_cli" health --jsonl yes > "$golddir/health.jsonl"
+# The halt-and-swap baseline breaches by design and exits 1; its stdout
+# is still pinned.
+if "$vapres_cli" health --halt yes --jsonl yes > "$golddir/health_halt.jsonl" 2>/dev/null; then
+    echo "vapres health --halt yes unexpectedly passed" >&2
+    exit 1
+fi
+"$vapres_cli" sim --swap yes --trace-words 7 --stats yes > "$golddir/sim_swap.txt"
+# Replay by a relative path from the checkpoint directory, so the
+# "restored <path>" line does not carry the temp dir.
+(cd "$golddir" \
+    && "$vapres_cli" sim --swap yes --samples 2000 \
+        --checkpoint-every 300 --checkpoint-dir . >/dev/null \
+    && "$vapres_cli" replay ckpt_0000.vapresck > replay.txt)
+for f in health.jsonl health_halt.jsonl sim_swap.txt replay.txt; do
+    cmp "scripts/golden/$f" "$golddir/$f" \
+        || { echo "$f differs from scripts/golden/$f" >&2; exit 1; }
+done
+rm -rf "$golddir"
+
 echo "==> telemetry smoke test (E3 swap scenario)"
 snap="$(mktemp -d)/swap.jsonl"
 ./target/release/vapres-cli sim --swap yes --metrics "$snap" >/dev/null

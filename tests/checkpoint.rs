@@ -18,9 +18,10 @@
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::switching::{halt_and_swap, seamless_swap, SwapSpec};
 use vapres::core::system::VapresSystem;
 use vapres::core::{PortRef, Ps, SplitMix64};
+use vapres::kpn::e3;
 use vapres::modules::{register_standard_modules, uids};
 use vapres::sim::persist::{PersistError, FORMAT_VERSION, MAGIC};
 
@@ -37,56 +38,27 @@ enum Method {
     SeamlessFault,
 }
 
-fn library() -> ModuleLibrary {
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    lib
-}
-
 /// Builds the E3 arrangement with every observation channel on:
 /// IOM ⇄ FIR A on PRR 0, FIR B staged in SDRAM (corrupted for
 /// [`Method::SeamlessFault`]), channels routed, nodes up, input fed.
 fn e3_system(method: Method) -> (VapresSystem, SwapSpec) {
-    let mut sys = VapresSystem::new(SystemConfig::prototype(), library()).unwrap();
+    let mut sys = e3::prototype();
     sys.enable_telemetry();
     sys.enable_flight_recorder(512);
     sys.enable_word_trace(5);
     sys.enable_tracing();
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-    sys.install_bitstream(0, uids::FIR_A, "fir_a.bit").unwrap();
-    let fir_b_prr = if method == Method::Halt { 0 } else { 1 };
-    let mut fir_b = sys
-        .bitstream_for(fir_b_prr, uids::FIR_B)
-        .unwrap()
-        .to_bytes();
-    if method == Method::SeamlessFault {
-        fir_b[7] ^= 0x10;
-    }
-    sys.cf_store_raw("fir_b.bit", fir_b);
-    sys.vapres_cf2array("fir_b.bit", "fir_b").unwrap();
-
-    sys.vapres_cf2icap("fir_a.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
-    sys.iom_feed(0, 0..N_SAMPLES);
-
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
+    let image = if method == Method::Halt {
+        e3::HALT
+    } else {
+        e3::SEAMLESS
     };
-    (sys, spec)
+    // Bit 4 of byte 7, inside the sync/header region the ICAP validates.
+    let fault_bit = (method == Method::SeamlessFault).then_some(7 * 8 + 4);
+    let channels = e3::deploy(&mut sys, &[image], fault_bit).unwrap();
+    sys.iom_feed(0, 0..N_SAMPLES);
+    (sys, e3::swap_spec(channels, 1, 2, image))
 }
 
 /// Drives a system from an arbitrary point to the end of the scenario:
@@ -147,7 +119,7 @@ fn assert_restore_equivalent(method: Method, seed: u64) {
     reference.run_for(Ps::from_us(prefix_us));
 
     let bytes = reference.checkpoint();
-    let mut restored = VapresSystem::restore(SystemConfig::prototype(), library(), &bytes)
+    let mut restored = VapresSystem::restore(SystemConfig::prototype(), e3::library(), &bytes)
         .expect("snapshot restores into its own configuration");
 
     // Interleave a second randomized leg before finishing, to exercise
@@ -202,7 +174,7 @@ fn checkpoint_restore_checkpoint_is_byte_identical() {
             }
             let first = sys.checkpoint();
             let mut restored =
-                VapresSystem::restore(SystemConfig::prototype(), library(), &first).unwrap();
+                VapresSystem::restore(SystemConfig::prototype(), e3::library(), &first).unwrap();
             let second = restored.checkpoint();
             assert_eq!(
                 first, second,
@@ -221,7 +193,7 @@ fn restore_rejects_version_mismatch() {
     let mut bytes = sys.checkpoint();
     // Header layout: 8 magic bytes, then the format version (LE u32).
     bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match VapresSystem::restore(SystemConfig::prototype(), library(), &bytes) {
+    match VapresSystem::restore(SystemConfig::prototype(), e3::library(), &bytes) {
         Err(PersistError::VersionMismatch { found, expected }) => {
             assert_eq!(found, FORMAT_VERSION + 1);
             assert_eq!(expected, FORMAT_VERSION);
@@ -237,7 +209,7 @@ fn restore_rejects_config_fingerprint_mismatch() {
     let mut other_cfg = SystemConfig::prototype();
     other_cfg.fsl_depth = 64;
     other_cfg.validate().unwrap();
-    match VapresSystem::restore(other_cfg, library(), &bytes) {
+    match VapresSystem::restore(other_cfg, e3::library(), &bytes) {
         Err(PersistError::FingerprintMismatch { found, expected }) => {
             assert_ne!(found, expected);
             assert_eq!(found, SystemConfig::prototype().fingerprint());
@@ -254,12 +226,12 @@ fn restore_rejects_bad_magic_and_truncation() {
     let mut garbled = bytes.clone();
     garbled[0] ^= 0xFF;
     assert!(matches!(
-        VapresSystem::restore(SystemConfig::prototype(), library(), &garbled),
+        VapresSystem::restore(SystemConfig::prototype(), e3::library(), &garbled),
         Err(PersistError::BadMagic)
     ));
 
     let truncated = &bytes[..bytes.len() / 2];
-    assert!(VapresSystem::restore(SystemConfig::prototype(), library(), truncated).is_err());
+    assert!(VapresSystem::restore(SystemConfig::prototype(), e3::library(), truncated).is_err());
 }
 
 /// A small E3 image for the byte-level decoder sweeps: FIR A streaming
@@ -269,7 +241,7 @@ fn restore_rejects_bad_magic_and_truncation() {
 /// replaced by a stub and no spare is staged, so the image stays a few
 /// KiB instead of carrying whole bitstreams.
 fn small_e3_image() -> Vec<u8> {
-    let mut sys = VapresSystem::new(SystemConfig::prototype(), library()).unwrap();
+    let mut sys = e3::prototype();
     sys.enable_telemetry();
     sys.enable_flight_recorder(16);
     sys.enable_word_trace(3);
@@ -293,14 +265,14 @@ fn small_e3_image() -> Vec<u8> {
 /// Restores `bytes` and, when the decoder accepts them, checks the state
 /// is a valid one: it re-encodes to an image that restores to itself.
 fn restore_is_err_or_valid(bytes: &[u8], what: &str) {
-    let Ok(mut sys) = VapresSystem::restore(SystemConfig::prototype(), library(), bytes) else {
+    let Ok(mut sys) = VapresSystem::restore(SystemConfig::prototype(), e3::library(), bytes) else {
         return;
     };
     let image = sys.checkpoint();
     if image == bytes {
         return;
     }
-    let mut again = VapresSystem::restore(SystemConfig::prototype(), library(), &image)
+    let mut again = VapresSystem::restore(SystemConfig::prototype(), e3::library(), &image)
         .unwrap_or_else(|e| panic!("{what}: accepted state does not re-restore: {e}"));
     assert_eq!(
         again.checkpoint(),
@@ -312,10 +284,10 @@ fn restore_is_err_or_valid(bytes: &[u8], what: &str) {
 #[test]
 fn restore_rejects_every_truncation_of_an_image_with_pending_wakes() {
     let bytes = small_e3_image();
-    VapresSystem::restore(SystemConfig::prototype(), library(), &bytes).unwrap();
+    VapresSystem::restore(SystemConfig::prototype(), e3::library(), &bytes).unwrap();
     for len in 0..bytes.len() {
         assert!(
-            VapresSystem::restore(SystemConfig::prototype(), library(), &bytes[..len]).is_err(),
+            VapresSystem::restore(SystemConfig::prototype(), e3::library(), &bytes[..len]).is_err(),
             "truncation to {len} of {} bytes restored",
             bytes.len()
         );
@@ -369,21 +341,9 @@ fn fleet_e3_setup(m: &mut MultiRsbSystem) -> Vec<(ChannelId, ChannelId)> {
                 sys.enable_flight_recorder(512);
                 sys.enable_word_trace(5);
                 sys.iom_set_input_interval(0, 150 + 50 * rsb as u64);
-                sys.install_bitstream(0, uids::FIR_A, "fir_a.bit").unwrap();
-                let fir_b = sys.bitstream_for(1, uids::FIR_B).unwrap().to_bytes();
-                sys.cf_store_raw("fir_b.bit", fir_b);
-                sys.vapres_cf2array("fir_b.bit", "fir_b").unwrap();
-                sys.vapres_cf2icap("fir_a.bit").unwrap();
-                let upstream = sys
-                    .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-                    .unwrap();
-                let downstream = sys
-                    .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-                    .unwrap();
-                sys.bring_up_node(0, false).unwrap();
-                sys.bring_up_node(1, false).unwrap();
+                let channels = e3::deploy(sys, &[e3::SEAMLESS], None).unwrap();
                 sys.iom_feed(0, 0..(400 + 100 * rsb as u32));
-                (upstream, downstream)
+                channels
             })
         })
         .collect()
@@ -393,18 +353,9 @@ fn fleet_e3_setup(m: &mut MultiRsbSystem) -> Vec<(ChannelId, ChannelId)> {
 /// RSB, then a sliced drain and settle.
 fn fleet_drive_leg(m: &mut MultiRsbSystem, channels: &[(ChannelId, ChannelId)]) {
     m.run_for(Ps::from_us(200));
-    for (rsb, &(upstream, downstream)) in channels.iter().enumerate() {
+    for (rsb, &rsb_channels) in channels.iter().enumerate() {
         m.with_rsb(rsb, |sys| {
-            let spec = SwapSpec {
-                active_node: 1,
-                spare_node: 2,
-                source: BitstreamSource::Sdram("fir_b".into()),
-                upstream,
-                downstream,
-                clk_sel: false,
-                timeout: Ps::from_ms(10),
-            };
-            seamless_swap(sys, &spec).unwrap();
+            seamless_swap(sys, &e3::swap_spec(rsb_channels, 1, 2, e3::SEAMLESS)).unwrap();
         });
         m.run_for(Ps::from_us(150));
     }

@@ -278,12 +278,9 @@ fn long_soak_lockstep_matches_dense_oracle() {
 }
 
 mod system_sweep {
-    use vapres::core::config::SystemConfig;
-    use vapres::core::module::ModuleLibrary;
-    use vapres::core::switching::{seamless_swap, BitstreamSource, SwapSpec};
-    use vapres::core::system::VapresSystem;
-    use vapres::core::{PortRef, Ps};
-    use vapres::modules::{register_standard_modules, uids};
+    use vapres::core::switching::seamless_swap;
+    use vapres::core::Ps;
+    use vapres::kpn::e3;
 
     const SAMPLE_INTERVAL: u64 = 500;
     const N_SAMPLES: u32 = 1_000;
@@ -293,42 +290,19 @@ mod system_sweep {
     /// removed — those measure elided work and *must* differ between
     /// modes, while everything else must not.
     fn run_and_snapshot(dense: bool) -> (Vec<String>, Ps) {
-        let mut lib = ModuleLibrary::new();
-        register_standard_modules(&mut lib, 0);
-        let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).unwrap();
+        let mut sys = e3::prototype();
         sys.set_dense(dense);
         sys.enable_telemetry();
         sys.enable_word_trace(16);
         sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-        sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-            .unwrap();
-        sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-            .unwrap();
-        sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
-        sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-        let upstream = sys
-            .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-            .unwrap();
-        let downstream = sys
-            .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-            .unwrap();
-        sys.bring_up_node(0, false).unwrap();
-        sys.bring_up_node(1, false).unwrap();
+        let channels = e3::deploy(&mut sys, &[e3::SEAMLESS], None).unwrap();
 
         let input: Vec<u32> = (0..N_SAMPLES).map(|i| (i * 97) % 10_007).collect();
         sys.iom_feed(0, input.iter().copied());
         sys.run_for(Ps::from_ms(1));
 
-        let spec = SwapSpec {
-            active_node: 1,
-            spare_node: 2,
-            source: BitstreamSource::Sdram("fir_b".into()),
-            upstream,
-            downstream,
-            clk_sel: false,
-            timeout: Ps::from_ms(10),
-        };
+        let spec = e3::swap_spec(channels, 1, 2, e3::SEAMLESS);
         seamless_swap(&mut sys, &spec).expect("swap succeeds");
 
         let expected_total = input.len() + 1;

@@ -3,13 +3,12 @@
 //! and stream-interruption measurement. This is the code path behind
 //! experiment E3.
 
-use vapres::core::config::SystemConfig;
-use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::switching::{halt_and_swap, seamless_swap, SwapSpec};
 use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps};
+use vapres::core::Ps;
+use vapres::kpn::e3;
 use vapres::modules::kernels::FirFilter;
-use vapres::modules::{register_standard_modules, run_kernel, uids, StreamKernel};
+use vapres::modules::{run_kernel, StreamKernel};
 use vapres::sim::time::Freq;
 
 /// External ADC sample interval in fabric cycles (200 kS/s at 100 MHz):
@@ -17,42 +16,13 @@ use vapres::sim::time::Freq;
 const SAMPLE_INTERVAL: u64 = 500;
 
 /// Builds the Fig. 5 scenario: IOM (node 0) -> filter A in PRR0 (node 1)
-/// -> IOM, with filter B's bitstream staged in SDRAM for PRR1 (node 2).
-fn fig5_system() -> (VapresSystem, SwapSpec) {
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).unwrap();
+/// -> IOM, with filter B's bitstream for `image` staged in SDRAM (the
+/// paper's fast path) and the swap spec that loads it.
+fn fig5_system(image: e3::Image) -> (VapresSystem, SwapSpec) {
+    let mut sys = e3::prototype();
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
-
-    // Application flow: install bitstreams for A (PRR0) and B (PRR1).
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-        .unwrap();
-    sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-        .unwrap();
-    // Stage B's bitstream in SDRAM at startup (the paper's fast path).
-    sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
-
-    // Load A and start the RSPS.
-    sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
-
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
-    (sys, spec)
+    let channels = e3::deploy(&mut sys, &[image], None).unwrap();
+    (sys, e3::swap_spec(channels, 1, 2, image))
 }
 
 /// The golden model of the swap: filter A over the samples processed
@@ -69,7 +39,7 @@ fn golden_swap_output(input: &[u32], split: usize) -> Vec<u32> {
 
 #[test]
 fn seamless_swap_preserves_every_sample_and_state() {
-    let (mut sys, spec) = fig5_system();
+    let (mut sys, spec) = fig5_system(e3::SEAMLESS);
     let input: Vec<u32> = (0..20_000u32).map(|i| (i * 97) % 10_007).collect();
     sys.iom_feed(0, input.iter().copied());
 
@@ -126,7 +96,7 @@ fn seamless_swap_preserves_every_sample_and_state() {
 
 #[test]
 fn seamless_swap_does_not_interrupt_the_stream() {
-    let (mut sys, spec) = fig5_system();
+    let (mut sys, spec) = fig5_system(e3::SEAMLESS);
     let input: Vec<u32> = (0..20_000_u32).collect();
     sys.iom_feed(0, input.iter().copied());
     sys.run_for(Ps::from_ms(1));
@@ -148,13 +118,9 @@ fn seamless_swap_does_not_interrupt_the_stream() {
 
 #[test]
 fn halt_and_swap_interrupts_for_the_full_reconfiguration() {
-    let (mut sys, mut spec) = fig5_system();
     // Halt-and-swap reconfigures the active PRR in place; give it a
     // bitstream for PRR0 (node 1).
-    sys.install_bitstream(0, uids::FIR_B, "fir_b_prr0.bit")
-        .unwrap();
-    sys.vapres_cf2array("fir_b_prr0.bit", "fir_b_prr0").unwrap();
-    spec.source = BitstreamSource::Sdram("fir_b_prr0".into());
+    let (mut sys, spec) = fig5_system(e3::HALT);
 
     let input: Vec<u32> = (0..20_000_u32).collect();
     sys.iom_feed(0, input.iter().copied());
@@ -177,7 +143,7 @@ fn halt_and_swap_interrupts_for_the_full_reconfiguration() {
 fn swap_with_local_clock_domain_change() {
     // Swap onto the spare with the slow clock selected: the stream
     // completes correctly at the new rate.
-    let (mut sys, mut spec) = fig5_system();
+    let (mut sys, mut spec) = fig5_system(e3::SEAMLESS);
     spec.clk_sel = true; // 25 MHz for filter B
     let input: Vec<u32> = (0..2_000_u32).collect();
     sys.iom_feed(0, input.iter().copied());

@@ -3,18 +3,12 @@
 
 use vapres::core::config::SystemConfig;
 use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{seamless_swap, BitstreamSource, SwapSpec};
+use vapres::core::switching::seamless_swap;
 use vapres::core::system::VapresSystem;
 use vapres::core::{PortRef, Ps};
-use vapres::kpn::{deploy, map_pipeline, Pipeline};
+use vapres::kpn::{deploy, e3, map_pipeline, Pipeline};
 use vapres::modules::kernels::FirFilter;
 use vapres::modules::{register_standard_modules, run_kernel, uids, StreamKernel};
-
-fn proto_with_modules() -> VapresSystem {
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    VapresSystem::new(SystemConfig::prototype(), lib).expect("prototype")
-}
 
 #[test]
 fn dual_iom_pipeline_streams_source_to_sink() {
@@ -42,7 +36,7 @@ fn dual_iom_pipeline_streams_source_to_sink() {
 
 #[test]
 fn prr_reset_holds_module_in_reset_state() {
-    let mut sys = proto_with_modules();
+    let mut sys = e3::prototype();
     sys.install_bitstream(0, uids::DELTA_ENCODER, "e.bit")
         .expect("install");
     sys.vapres_cf2icap("e.bit").expect("load");
@@ -73,37 +67,16 @@ fn prr_reset_holds_module_in_reset_state() {
 fn ping_pong_swap_alternates_prrs() {
     // A -> B (PRR0 -> PRR1), then B -> A' (PRR1 -> PRR0): the spare role
     // alternates, as a long-lived adaptive system would run.
-    let mut sys = proto_with_modules();
+    let mut sys = e3::prototype();
     sys.iom_set_input_interval(0, 500);
-    sys.install_bitstream(0, uids::FIR_A, "a0.bit").expect("a0");
-    sys.install_bitstream(1, uids::FIR_B, "b1.bit").expect("b1");
-    sys.vapres_cf2array("a0.bit", "a0").expect("stage a0");
-    sys.vapres_cf2array("b1.bit", "b1").expect("stage b1");
-
-    sys.vapres_cf2icap("a0.bit").expect("load A");
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .expect("up");
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .expect("down");
-    sys.bring_up_node(0, false).expect("iom");
-    sys.bring_up_node(1, false).expect("prr0");
+    let channels = e3::deploy(&mut sys, &[e3::SEAMLESS, e3::FIR_A_HOME], None).expect("E3");
 
     let input: Vec<u32> = (0..60_000u32).map(|i| (i * 7) % 5_001).collect();
     sys.iom_feed(0, input.iter().copied());
     sys.run_for(Ps::from_ms(1));
 
     // First swap: A(node1) -> B(node2).
-    let spec1 = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("b1".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(20),
-    };
+    let spec1 = e3::swap_spec(channels, 1, 2, e3::SEAMLESS);
     let r1 = seamless_swap(&mut sys, &spec1).expect("first swap");
     assert_eq!(sys.prr_module_name(1), Some("fir_b"));
 
@@ -120,15 +93,11 @@ fn ping_pong_swap_alternates_prrs() {
             down2 = Some(ch);
         }
     }
-    let spec2 = SwapSpec {
-        active_node: 2,
-        spare_node: 1,
-        source: BitstreamSource::Sdram("a0".into()),
-        upstream: up2.expect("upstream found"),
-        downstream: down2.expect("downstream found"),
-        clk_sel: false,
-        timeout: Ps::from_ms(20),
-    };
+    let moved = (
+        up2.expect("upstream found"),
+        down2.expect("downstream found"),
+    );
+    let spec2 = e3::swap_spec(moved, 2, 1, e3::FIR_A_HOME);
     let r2 = seamless_swap(&mut sys, &spec2).expect("second swap");
     assert_eq!(sys.prr_module_name(0), Some("fir_a"));
 
@@ -171,7 +140,7 @@ fn ping_pong_swap_alternates_prrs() {
 
 #[test]
 fn fsl_reset_clears_pending_words() {
-    let mut sys = proto_with_modules();
+    let mut sys = e3::prototype();
     sys.vapres_module_write(1, 111).expect("write");
     sys.vapres_module_write(1, 222).expect("write");
     let mut dcr = sys.dcr(1);
@@ -185,7 +154,7 @@ fn fsl_reset_clears_pending_words() {
 
 #[test]
 fn establish_channel_while_streaming_does_not_disturb_others() {
-    let mut sys = proto_with_modules();
+    let mut sys = e3::prototype();
     // Loopback at the IOM (channel 1), then add and remove a second
     // channel between the PRR ports repeatedly while data flows.
     let p = PortRef::new(0, 0);

@@ -9,12 +9,9 @@
 //! ~72 ms reconfiguration, so its p99 explodes. That asymmetry is the
 //! paper's seamlessness claim, measured per word instead of per slot.
 
-use vapres::core::config::SystemConfig;
-use vapres::core::module::ModuleLibrary;
-use vapres::core::switching::{halt_and_swap, seamless_swap, BitstreamSource, SwapSpec};
-use vapres::core::system::VapresSystem;
-use vapres::core::{PortRef, Ps};
-use vapres::modules::{register_standard_modules, uids};
+use vapres::core::switching::{halt_and_swap, seamless_swap};
+use vapres::core::Ps;
+use vapres::kpn::e3;
 use vapres::sim::stats::Histogram;
 
 const SAMPLES: u32 = 4_000;
@@ -32,50 +29,22 @@ enum Scenario {
 /// Runs the E3 stream under `scenario` with every word tagged, returning
 /// the per-word e2e latency histogram.
 fn run_traced(scenario: Scenario) -> Histogram {
-    let mut lib = ModuleLibrary::new();
-    register_standard_modules(&mut lib, 0);
-    let mut sys = VapresSystem::new(SystemConfig::prototype(), lib).unwrap();
+    let mut sys = e3::prototype();
     sys.enable_word_trace(1);
     sys.iom_set_input_interval(0, SAMPLE_INTERVAL);
 
-    sys.install_bitstream(0, uids::FIR_A, "fir_a_prr0.bit")
-        .unwrap();
     // Halt-and-swap reconfigures the active PRR (node 1 = PRR0) in
     // place, so its FIR B bitstream must target PRR0; the seamless swap
     // loads the spare PRR1 instead.
-    match scenario {
-        Scenario::Halt => {
-            sys.install_bitstream(0, uids::FIR_B, "fir_b_prr0.bit")
-                .unwrap();
-            sys.vapres_cf2array("fir_b_prr0.bit", "fir_b").unwrap();
-        }
-        _ => {
-            sys.install_bitstream(1, uids::FIR_B, "fir_b_prr1.bit")
-                .unwrap();
-            sys.vapres_cf2array("fir_b_prr1.bit", "fir_b").unwrap();
-        }
-    }
-    sys.vapres_cf2icap("fir_a_prr0.bit").unwrap();
-    let upstream = sys
-        .vapres_establish_channel(PortRef::new(0, 0), PortRef::new(1, 0))
-        .unwrap();
-    let downstream = sys
-        .vapres_establish_channel(PortRef::new(1, 0), PortRef::new(0, 0))
-        .unwrap();
-    sys.bring_up_node(0, false).unwrap();
-    sys.bring_up_node(1, false).unwrap();
+    let image = match scenario {
+        Scenario::Halt => e3::HALT,
+        _ => e3::SEAMLESS,
+    };
+    let channels = e3::deploy(&mut sys, &[image], None).unwrap();
 
     sys.iom_feed(0, 0..SAMPLES);
     sys.run_for(Ps::from_ms(1));
-    let spec = SwapSpec {
-        active_node: 1,
-        spare_node: 2,
-        source: BitstreamSource::Sdram("fir_b".into()),
-        upstream,
-        downstream,
-        clk_sel: false,
-        timeout: Ps::from_ms(10),
-    };
+    let spec = e3::swap_spec(channels, 1, 2, image);
     match scenario {
         Scenario::NoSwap => {}
         Scenario::Seamless => {
@@ -85,9 +54,7 @@ fn run_traced(scenario: Scenario) -> Histogram {
             halt_and_swap(&mut sys, &spec).expect("halt swap succeeds");
         }
     }
-    let done = sys.run_until(Ps::from_ms(300), |s| s.iom_pending_input(0) == 0);
-    assert!(done, "stream must drain");
-    sys.run_for(Ps::from_us(100));
+    assert!(e3::drain(&mut sys), "stream must drain");
 
     let tr = sys.word_trace().expect("trace enabled");
     assert_eq!(tr.tagged(), SAMPLES as usize, "every word is tagged");
